@@ -3,7 +3,8 @@
 Compute Jones polynomials from DT or PD codes via the Kauffman bracket,
 encode families of knots as q^0-aligned integer coefficient clouds, and
 study their dimensionality and stability through crossing-number and norm
-filtrations with a self-contained PCA core.
+filtrations with a PCA core: covariance accumulated from scratch, the
+eigensolve by LAPACK pinned to one BLAS thread.
 """
 
 from .bracket import jones, kauffman_bracket, skein_check

@@ -184,7 +184,7 @@ def _apply_crossing(matching, slot_labels, pairs):
         if used[eid]:
             continue
         loops += 1
-        cur, prev_eid = u, None
+        cur = u
         while True:
             step = next(((k, other) for k, other in adj[cur] if not used[k]),
                         None)

@@ -84,9 +84,11 @@ def generate_cmd(family, max_crossings, cache):
 def _load_records(cache_path, paths, fmt, convention, family, max_crossings):
     store = InvariantCache(cache_path)  # path None -> in-memory only
     if family:
-        _, records = generate_family(family.replace("-", "_"),
-                                     max_crossings, store)
-        return records, [f"{family}-{max_crossings}"]
+        if max_crossings is None:
+            raise click.UsageError("--family needs --max-crossings")
+        digest, records = generate_family(family.replace("-", "_"),
+                                          max_crossings, store)
+        return records, [digest]
     if not paths:
         raise click.UsageError("need dataset paths or --family")
     ds = ingest(paths, fmt, convention)

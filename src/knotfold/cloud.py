@@ -131,10 +131,8 @@ def align(family):
     lo = min(cv.min_degree for _, cv, _ in family)
     hi = max(cv.max_degree for _, cv, _ in family)
     rows = [embed(cv, lo, hi) for _, cv, _ in family]
+    # numpy raises OverflowError for any coefficient outside int64
     matrix = np.array(rows, dtype=np.int64)
-    if not all(int(matrix[i, j]) == rows[i][j]
-               for i in (0, len(rows) - 1) for j in (0, len(rows[0]) - 1)):
-        raise OverflowError("coefficient exceeds the matrix element type")
     return AlignedCloud(
         row_ids=tuple(rid for rid, _, _ in family),
         matrix=matrix,

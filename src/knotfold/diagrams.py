@@ -355,7 +355,7 @@ def dt_code(d, convention="a", start=None, reverse=False):
     for ci, ((t1, s1), (t2, s2)) in times.items():
         if t1 % 2 == 0:
             (t1, s1), (t2, s2) = (t2, s2), (t1, s1)
-        even_under = (s2 % 2 == 0) if not reverse else (s2 % 2 == 0)
+        even_under = s2 % 2 == 0
         sign = 1 if even_under == (convention == "a") else -1
         entries[(t1 - 1) // 2] = sign * t2
     return DTSequence(tuple(entries))
@@ -380,10 +380,8 @@ def parse_pd(text):
     """Parse `X(a,b,c,d) X(e,f,g,h) ...` into a validated PlanarDiagram."""
     stripped = text.strip()
     crossings = []
-    consumed = 0
     for m in _PD_CROSSING_RE.finditer(stripped):
         crossings.append(tuple(int(g) for g in m.groups()))
-        consumed += len(m.group(0))
     leftover = re.sub(r"\s+", "", _PD_CROSSING_RE.sub("", stripped))
     if leftover:
         raise BadArcMultiplicity(f"unparsable PD fragment {leftover!r}")

@@ -89,10 +89,6 @@ class NotSymmetric(KnotfoldError):
     pass
 
 
-class NoConvergence(KnotfoldError):
-    pass
-
-
 class DegenerateSpectrum(KnotfoldError):
     pass
 

@@ -157,8 +157,10 @@ def embed_direction(vec, src_window, dst_window):
 def angle_trajectory(spectra, tracked=TRACKED_COMPONENTS):
     """Principal angles between consecutive steps, per tracked component.
 
-    theta_{i,j} = arccos |v_i(step j+1) . embed(v_i(step j))|, in [0, pi/2];
-    the absolute value removes the eigenvector sign ambiguity.  Rows are
+    theta_{i,j} is the angle between v = v_i(step j+1) and w =
+    embed(v_i(step j)) up to sign, in [0, pi/2].  It is computed in the
+    chord form 2 asin(|v - s w| / 2) with s = sign(v . w), which stays
+    accurate near 0 where arccos |v . w| loses half the digits.  Rows are
     (transition label, component index starting at 1, theta radians).
     """
     out = []
@@ -169,9 +171,10 @@ def angle_trajectory(spectra, tracked=TRACKED_COMPONENTS):
                                      (prev.min_degree, prev.max_degree),
                                      (cur.min_degree, cur.max_degree))
             v_cur = cur.eigensystem.eigenvectors[:, i]
-            dot = abs(float(v_cur @ v_prev))
+            s = 1.0 if v_cur @ v_prev >= 0 else -1.0
+            chord = float(np.linalg.norm(v_cur - s * v_prev))
             out.append((f"{prev.label}->{cur.label}", i + 1,
-                        math.acos(min(1.0, dot))))
+                        2.0 * math.asin(min(1.0, chord / 2.0))))
     return out
 
 

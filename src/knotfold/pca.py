@@ -1,14 +1,19 @@
 """Principal component analysis built from streaming covariance moments.
 
-The eigensolver is self-contained: cyclic Jacobi sweeps for small matrices
-and Householder tridiagonalization followed by implicit-shift QL iteration
-for large ones.  Everything downstream (explained variances, cumulative
+Covariance accumulation is done here from scratch; the eigensolve is
+LAPACK's (``np.linalg.eigh``).  The covariance product, the eigensolve and
+the projection run on one BLAS thread, so results do not depend on the
+thread count.  Everything downstream (explained variances, cumulative
 shares, dimension estimation, projection) consumes the resulting
 eigensystem.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,13 +22,8 @@ from .errors import (
     DegenerateSpectrum,
     DimensionMismatch,
     InsufficientData,
-    NoConvergence,
     NotSymmetric,
 )
-
-JACOBI_MAX_DIM = 64
-JACOBI_MAX_SWEEPS = 100
-QL_MAX_ITER = 50
 
 
 class CovarianceAccumulator:
@@ -61,7 +61,8 @@ class CovarianceAccumulator:
         other.count = rows.shape[0]
         other.mean = rows.mean(axis=0)
         centered = rows - other.mean
-        other.m2 = centered.T @ centered
+        with _one_blas_thread():
+            other.m2 = centered.T @ centered
         return self.merge(other)
 
     def merge(self, other):
@@ -105,135 +106,46 @@ class EigenSystem:
         return len(self.eigenvalues)
 
 
-def _jacobi(a, max_sweeps=JACOBI_MAX_SWEEPS):
-    n = a.shape[0]
-    a = a.copy()
-    v = np.eye(n)
-    for _ in range(max_sweeps):
-        scale = max(1.0, np.abs(np.diag(a)).max())
-        offdiag = np.abs(a).copy()
-        np.fill_diagonal(offdiag, 0.0)
-        if offdiag.max() <= 1e-14 * scale:
-            return np.diag(a).copy(), v
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-16 * scale:
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                rotated = True
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-        if not rotated:
-            return np.diag(a).copy(), v
-    raise NoConvergence(f"Jacobi did not converge in {max_sweeps} sweeps")
-
-
-def _tridiagonalize(a):
-    """Householder reduction; returns (diagonal, subdiagonal, Q)."""
-    n = a.shape[0]
-    a = a.copy()
-    q = np.eye(n)
-    e = np.zeros(n)
-    for k in range(n - 2):
-        x = a[k + 1:, k].copy()
-        alpha = np.linalg.norm(x)
-        if alpha == 0.0:
-            e[k + 1] = 0.0
+@functools.cache
+def _blas_thread_setters():
+    """``openblas_set_num_threads_local`` of each OpenBLAS mapped into the
+    process, numpy's among them; empty where there is none."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(None, 5)[5].strip()
+                            for line in fh if "openblas" in line})
+    except OSError:
+        return ()
+    setters = []
+    for path in paths:
+        try:
+            fn = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
             continue
-        if x[0] > 0:
-            alpha = -alpha
-        u = x.copy()
-        u[0] -= alpha
-        unorm = np.linalg.norm(u)
-        if unorm == 0.0:
-            e[k + 1] = alpha
-            continue
-        u /= unorm
-        # apply P = I - 2uu^T on both sides of the trailing block
-        sub = a[k + 1:, k + 1:]
-        w = sub @ u
-        kappa = u @ w
-        sub -= 2.0 * np.outer(u, w) + 2.0 * np.outer(w, u) - 4.0 * kappa * np.outer(u, u)
-        a[k + 1:, k] = 0.0
-        a[k, k + 1:] = 0.0
-        a[k + 1, k] = alpha
-        a[k, k + 1] = alpha
-        e[k + 1] = alpha
-        qu = q[:, k + 1:] @ u
-        q[:, k + 1:] -= 2.0 * np.outer(qu, u)
-    if n >= 2:
-        e[n - 1] = a[n - 1, n - 2]
-    d = np.diag(a).copy()
-    return d, e, q
+        fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_int
+        setters.append(fn)
+    return tuple(setters)
 
 
-def _ql_implicit(d, e, z, max_iter=QL_MAX_ITER):
-    """Implicit-shift QL on a tridiagonal (d, e); rotations folded into z."""
-    n = len(d)
-    d = d.copy()
-    e = np.roll(e, -1)  # e[i] couples d[i] and d[i+1]; e[n-1] unused
-    e[n - 1] = 0.0
-    eps = np.finfo(float).eps
-    anorm = float((np.abs(d) + np.abs(e)).max())
-    for l in range(n):
-        iterations = 0
-        while True:
-            m = l
-            while m < n - 1 and abs(e[m]) > eps * max(
-                    abs(d[m]) + abs(d[m + 1]), anorm):
-                m += 1
-            if m == l:
-                break
-            iterations += 1
-            if iterations > max_iter:
-                raise NoConvergence(
-                    f"QL iteration cap {max_iter} hit at index {l}")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = np.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + np.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = np.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                zi = z[:, i].copy()
-                zi1 = z[:, i + 1].copy()
-                z[:, i + 1] = s * zi + c * zi1
-                z[:, i] = c * zi - s * zi1
-            else:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-    return d, z
+_BLAS_PIN = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS to one thread for the body.
+
+    The covariance product and the eigensolve change in the last bits with
+    the BLAS thread count, and that survives the report's rounding.  The
+    lock keeps concurrent callers from restoring each other's setting.
+    """
+    setters = _blas_thread_setters()
+    with _BLAS_PIN:
+        previous = [set_threads(1) for set_threads in setters]
+        try:
+            yield
+        finally:
+            for set_threads, count in zip(setters, previous):
+                set_threads(count)
 
 
 def sym_eig(k):
@@ -246,22 +158,14 @@ def sym_eig(k):
     k = np.asarray(k, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise NotSymmetric(f"matrix shape {k.shape} is not square")
+    if not np.isfinite(k).all():
+        raise NotSymmetric("matrix has a non-finite entry")
     n = k.shape[0]
-    scale = max(1.0, np.abs(k).max())
-    if np.abs(k - k.T).max() > 1e-9 * scale:
+    scale = max(1.0, np.abs(k).max(initial=0.0))
+    if np.abs(k - k.T).max(initial=0.0) > 1e-9 * scale:
         raise NotSymmetric("matrix is not symmetric within 1e-9 relative")
-    k = (k + k.T) / 2.0
-    if n == 0:
-        empty = np.zeros((0,))
-        return EigenSystem(empty, np.zeros((0, 0)), empty, empty)
-    if n == 1:
-        lam = np.array([k[0, 0]])
-        vec = np.ones((1, 1))
-    elif n <= JACOBI_MAX_DIM:
-        lam, vec = _jacobi(k)
-    else:
-        d, e, q = _tridiagonalize(k)
-        lam, vec = _ql_implicit(d, e, q)
+    with _one_blas_thread():
+        lam, vec = np.linalg.eigh((k + k.T) / 2.0)
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     vec = vec[:, order]
@@ -271,13 +175,8 @@ def sym_eig(k):
         if col[j] < 0:
             vec[:, i] = -col
     total = lam.sum()
-    if total > 0:
-        normalized = lam / total
-        cumulative = np.cumsum(normalized)
-    else:
-        normalized = np.zeros(n)
-        cumulative = np.zeros(n)
-    return EigenSystem(lam, vec, normalized, cumulative)
+    normalized = lam / total if total > 0 else np.zeros(n)
+    return EigenSystem(lam, vec, normalized, np.cumsum(normalized))
 
 
 def normalized_variances(es):
@@ -303,7 +202,8 @@ def project(matrix, mean, es, k):
     if k > es.dim or matrix.shape[1] != es.dim:
         raise DimensionMismatch(
             f"cannot project shape {matrix.shape} onto {k} of {es.dim} axes")
-    return (matrix - mean) @ es.eigenvectors[:, :k]
+    with _one_blas_thread():
+        return (matrix - mean) @ es.eigenvectors[:, :k]
 
 
 class PrincipalComponentAnalysis:

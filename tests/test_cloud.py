@@ -3,6 +3,7 @@ import math
 import pytest
 
 from knotfold.cloud import (
+    CoefficientVector,
     KnotRecord,
     align,
     canonical_orientation,
@@ -94,6 +95,14 @@ class TestAlign:
     def test_empty_family(self):
         with pytest.raises(EmptyFamily):
             align([])
+
+    @pytest.mark.parametrize("big", [2**63, -2**63 - 1])
+    def test_interior_overflow(self, big):
+        family = [("a", CoefficientVector(0, (1, 0, 0)), {}),
+                  ("b", CoefficientVector(0, (0, big, 0)), {}),
+                  ("c", CoefficientVector(0, (0, 0, 1)), {})]
+        with pytest.raises(OverflowError):
+            align(family)
 
     def test_single_knot_no_padding(self):
         cloud = align(self._family()[1:2])

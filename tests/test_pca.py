@@ -80,8 +80,20 @@ class TestSymEig:
         with pytest.raises(NotSymmetric):
             sym_eig([[0.0, 1.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite(self, bad):
+        with pytest.raises(NotSymmetric):
+            sym_eig([[bad, 0.0], [0.0, 1.0]])
+
+    def test_trivial_sizes(self):
+        es = sym_eig(np.zeros((0, 0)))
+        assert es.dim == 0 and es.eigenvectors.shape == (0, 0)
+        es = sym_eig([[-2.0]])
+        assert es.eigenvalues.tolist() == [-2.0]
+        assert es.eigenvectors.tolist() == [[1.0]]
+
     @pytest.mark.parametrize("n", [3, 20, 64, 65, 200])
-    def test_contract_both_solvers(self, n):
+    def test_contract(self, n):
         k = random_symmetric(n, n)
         es = sym_eig(k)
         v, lam = es.eigenvectors, es.eigenvalues

@@ -2,10 +2,13 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import knotfold
 from knotfold.cli import main
 from knotfold.errors import KnotfoldError, Unreadable, UnknownFormat
 from knotfold.pipeline import (
@@ -274,6 +277,26 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert os.path.exists(os.path.join(out, "trajectory.csv"))
 
+    def test_analyze_family_manifest_digest(self, tmp_path):
+        out = str(tmp_path / "rep")
+        result = CliRunner().invoke(
+            main, ["analyze", "--family", "double-twist",
+                   "--max-crossings", "12", "--kmin", "12", "--kmax", "12",
+                   "--out", out])
+        assert result.exit_code == 0, result.output
+        with open(os.path.join(out, "run_manifest")) as fh:
+            manifest = json.load(fh)
+        digest, _ = generate_family("double_twist", 12)
+        assert manifest["dataset_digests"] == [digest]
+
+    def test_analyze_family_needs_max_crossings(self, tmp_path):
+        result = CliRunner().invoke(
+            main, ["analyze", "--family", "torus",
+                   "--out", str(tmp_path / "rep")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert "--max-crossings" in result.output
+
     def test_analyze_error_exit_code(self, tmp_path):
         result = CliRunner().invoke(
             main, ["analyze", FIXTURE_FILE, "--class", "nonalt",
@@ -289,3 +312,23 @@ class TestCli:
                                       "--out", out])
         assert result.exit_code == 0
         assert result.output.startswith("step,component,lambda_bar")
+
+
+def test_bundle_independent_of_blas_threads(tmp_path):
+    """PCA's BLAS and LAPACK calls run on one thread, so
+    OPENBLAS_NUM_THREADS does not reach the report; torus <= 100 differs in
+    its last digits when they are left multi-threaded."""
+    src = os.path.dirname(os.path.dirname(knotfold.__file__))
+    bundles = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"rep{threads}")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run(
+            [sys.executable, "-m", "knotfold.cli", "analyze",
+             "--family", "torus", "--max-crossings", "100",
+             "--kmin", "100", "--kmax", "100", "--out", out],
+            env=env, check=True, capture_output=True, timeout=300)
+        bundles.append(bundle_bytes(out))
+    assert bundles[0] == bundles[1]
