@@ -9,7 +9,7 @@ unknot normalized to 1.
 
 from __future__ import annotations
 
-from .errors import CapExceeded, WidthOverflow
+from .errors import CapExceeded, SweepNotClosed, WidthOverflow
 from .laurent import LaurentPolynomial
 
 STATESUM_CAP = 24
@@ -224,7 +224,8 @@ def _bracket_sweep(d, budget):
             raise WidthOverflow(
                 f"sweep produced {len(new_states)} boundary states")
         states = new_states
-    assert list(states) == [()], "sweep did not close all strands"
+    if list(states) != [()]:
+        raise SweepNotClosed("sweep did not close all strands")
     # Every state closed all of its loops, so the total carries one spare
     # delta relative to the bracket normalization.
     return states[()].exact_div(delta)

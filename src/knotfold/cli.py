@@ -70,7 +70,7 @@ def compute_cmd(paths, fmt, dt_sign_convention, cache, workers):
 @main.command("generate")
 @click.option("--family", type=click.Choice(["torus", "double-twist"]),
               required=True)
-@click.option("--max-crossings", type=int, required=True)
+@click.option("--max-crossings", type=click.IntRange(min=3), required=True)
 @click.option("--cache", type=click.Path(), required=True)
 def generate_cmd(family, max_crossings, cache):
     """Generate a knot family and cache its Jones polynomials."""
@@ -104,17 +104,19 @@ def _load_records(cache_path, paths, fmt, convention, family, max_crossings):
 @click.option("--dt-sign-convention", type=click.Choice(["a", "b"]),
               default="a", show_default=True)
 @click.option("--family", type=click.Choice(["torus", "double-twist"]))
-@click.option("--max-crossings", type=int, default=None)
+@click.option("--max-crossings", type=click.IntRange(min=3), default=None)
 @click.option("--cache", type=click.Path(), default=None)
 @click.option("--filtration", type=click.Choice(["crossing", "norm"]),
               default="crossing", show_default=True)
 @click.option("--class", "class_filter",
               type=click.Choice(list(_CLASS_ALIASES)), default="all",
               show_default=True)
-@click.option("--levels", type=int, default=4, show_default=True)
+@click.option("--levels", type=click.IntRange(min=1), default=4,
+              show_default=True)
 @click.option("--kmin", type=int, default=3, show_default=True)
 @click.option("--kmax", type=int, default=6, show_default=True)
-@click.option("--bins", type=int, default=20, show_default=True)
+@click.option("--bins", type=click.IntRange(min=1), default=20,
+              show_default=True)
 @click.option("--variance-threshold", type=float, default=0.95,
               show_default=True)
 @click.option("--out", type=click.Path(), required=True)
@@ -122,6 +124,8 @@ def analyze_cmd(paths, fmt, dt_sign_convention, family, max_crossings,
                 cache, filtration, class_filter, levels, kmin, kmax, bins,
                 variance_threshold, out):
     """Run a filtration analysis and write the report bundle."""
+    if kmin > kmax:
+        raise click.UsageError(f"--kmin {kmin} exceeds --kmax {kmax}")
     try:
         records, digests = _load_records(cache, paths, fmt,
                                          dt_sign_convention, family,

@@ -5,11 +5,18 @@ order starting from the incoming under-strand (PD convention).  A dart is a
 pair (crossing index, slot) naming one of the four strand ends at a
 crossing; slots 0 and 2 carry the under-strand, 1 and 3 the over-strand.
 
-DT realization searches over the one free choice per crossing (which way
-the second passage crosses the first) and keeps the first assignment whose
-rotation system is planar by the Euler formula, with the first-visited
-crossing's sense pinned to resolve the reflection ambiguity
-deterministically.
+DT realization fixes the one free choice per crossing (which way the
+second passage crosses the first) directly from the interlacement graph of
+the code, after Dowker-Thistlethwaite and de Fraysseix-Ossona de Mendez:
+crossing w is interlaced with u when exactly one of w's two passage times
+lies strictly between u's.  Every planar assignment gives interlaced
+crossings u, w equal senses when they share an odd number of interlaced
+crossings and opposite senses otherwise, and reflecting one component of
+the graph keeps an assignment planar.  So a walk over each component fixes
+the senses up to those reflections, in time polynomial in the crossings.
+Crossing 0 pins the reflection of its component; every other component is
+pinned by its highest-index crossing.  The pairwise rule is necessary but
+not sufficient, so the Euler face count still decides realizability.
 """
 
 from __future__ import annotations
@@ -304,25 +311,80 @@ def _dt_crossing_tuples(code, eps, convention):
     return tuple(out)
 
 
+def _interlacement(code):
+    """Bitset per crossing of the crossings interlaced with it.
+
+    A crossing is interlaced with u when it passes an odd number of times
+    strictly between u's two passage times, read off a prefix XOR of
+    one-bit masks along the course.
+    """
+    owner = [0] * (2 * len(code) + 1)
+    for i, entry in enumerate(code.entries):
+        owner[2 * i + 1] = owner[abs(entry)] = i
+    prefix = [0]
+    for t in range(1, len(owner)):
+        prefix.append(prefix[-1] ^ (1 << owner[t]))
+    inter = []
+    for i, entry in enumerate(code.entries):
+        lo, hi = sorted((2 * i + 1, abs(entry)))
+        inter.append(prefix[hi - 1] ^ prefix[lo])
+    return inter
+
+
+def _sense_vector(code):
+    """Crossing senses from the pairwise interlacement rule.
+
+    Components of the interlacement graph are walked from roots taken in
+    the order 0, n-1, ..., 1, each root set to +1.  This is the assignment
+    that comes first in binary counting order over masks of crossings
+    1..n-1 (crossing 0 fixed), the order an exhaustive search would use.
+    """
+    n = len(code)
+    inter = _interlacement(code)
+    eps = [0] * n
+    unset = (1 << n) - 1  # bitset of crossings without a sense yet
+    for root in (0, *range(n - 1, 0, -1)):
+        if not unset >> root & 1:
+            continue
+        eps[root] = 1
+        unset ^= 1 << root
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            rest = inter[u] & unset
+            unset ^= rest
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                w = low.bit_length() - 1
+                odd = (inter[u] & inter[w]).bit_count() & 1
+                eps[w] = eps[u] if odd else -eps[u]
+                stack.append(w)
+    return eps
+
+
 def realize_dt(code, convention="a"):
     """Realize a DT code as a PlanarDiagram.
 
-    The first consistent crossing-sense assignment in binary counting order
-    (crossings ordered by first visit, first crossing pinned to +1) is
-    returned, which resolves the reflection ambiguity deterministically.
-    Raises NotRealizable if no assignment embeds in the plane.
+    The crossing senses come from the interlacement rule (module
+    docstring): interlaced crossings agree when they share an odd number
+    of interlaced crossings and disagree otherwise.  Crossing 0 is pinned
+    to +1 and every other interlacement component by its highest-index
+    crossing, which resolves the reflection ambiguity deterministically.
+    The rule holds for every planar assignment but does not imply
+    planarity, so the Euler face count of the result stays as the final
+    check.  Raises NotRealizable if it fails: then no assignment embeds in
+    the plane.
     """
     if convention not in DT_CONVENTIONS:
         raise ValueError(f"unknown DT sign convention {convention!r}")
-    n = len(code)
-    if n == 0:
+    if len(code) == 0:
         return PlanarDiagram(())
-    for mask in range(1 << (n - 1)):
-        eps = [1] + [1 if (mask >> k) & 1 == 0 else -1 for k in range(n - 1)]
-        tuples = _dt_crossing_tuples(code, eps, convention)
-        if tuples is not None:
-            return PlanarDiagram(tuples)
-    raise NotRealizable(f"DT code {list(code.entries)} admits no planar embedding")
+    tuples = _dt_crossing_tuples(code, _sense_vector(code), convention)
+    if tuples is None:
+        raise NotRealizable(
+            f"DT code {list(code.entries)} admits no planar embedding")
+    return PlanarDiagram(tuples)
 
 
 def dt_code(d, convention="a", start=None, reverse=False):

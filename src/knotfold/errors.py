@@ -53,6 +53,10 @@ class WidthOverflow(KnotfoldError):
     pass
 
 
+class SweepNotClosed(KnotfoldError):
+    pass
+
+
 class NotAKnot(KnotfoldError):
     pass
 

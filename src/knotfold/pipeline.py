@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -31,6 +32,12 @@ from .laurent import LaurentPolynomial
 from .signature import signature_from_diagram
 
 FORMATS = ("dt", "pd")
+
+# One cache line, id;digest;jones;sigma;alternating;mirror_applied, with the
+# Jones polynomial in the text form LaurentPolynomial.to_text writes.
+_TERM = r"\d+(?:\*q\^(?:-?\d+|\(-?\d+/2\)))?"
+_CACHE_LINE_RE = re.compile(
+    rf"[^;]+;[^;]+;(?:0|-?{_TERM}(?: [+-] {_TERM})*);(?:\?|-?\d+);[01];[01]")
 
 
 @dataclass(frozen=True)
@@ -59,6 +66,10 @@ class Dataset:
 
 
 def _parse_line(line, lineno):
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        raise UnknownFormat("line is not valid UTF-8") from None
     parts = [p.strip() for p in line.split(";")]
     if len(parts) < 3:
         raise UnknownFormat("expected id;crossing_number;code")
@@ -97,7 +108,10 @@ def ingest(paths, format="dt", convention="a"):
         except OSError as exc:
             raise Unreadable(f"cannot read {path}: {exc}") from None
         digest.update(data)
-        for lineno, line in enumerate(data.decode().splitlines(), start=1):
+        # Undecodable bytes become lone surrogates, so line numbers stay
+        # those of the readable file and only the offending line is lost.
+        text = data.decode("utf-8", errors="surrogateescape")
+        for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -117,24 +131,29 @@ def ingest(paths, format="dt", convention="a"):
 
 
 class InvariantCache:
-    """Append-only text cache of canonicalized invariants."""
+    """Append-only text cache of canonicalized invariants.
 
-    FIELDS = ("id", "digest", "jones", "sigma", "alternating",
-              "mirror_applied")
+    Loading skips every line whose fields do not decode.  A last line
+    without its newline was torn by an interrupted write: it is skipped
+    too, and cut off before the next append, so a resumed run ends with
+    the same bytes as an uninterrupted one.
+    """
 
     def __init__(self, path):
         self.path = path
         self.entries = {}
+        self._torn_at = None  # byte offset of an unterminated last line
         if path and os.path.exists(path):
-            with open(path) as fh:
-                for line in fh:
-                    line = line.rstrip("\n")
-                    if not line:
-                        continue
-                    parts = line.split(";")
-                    if len(parts) != len(self.FIELDS):
-                        continue
-                    self.entries[(parts[0], parts[1])] = line
+            with open(path, "rb") as fh:
+                data = fh.read()
+            end = data.rfind(b"\n") + 1
+            if end < len(data):
+                self._torn_at = end
+            text = data[:end].decode("utf-8", errors="replace")
+            for line in text.split("\n"):
+                if _CACHE_LINE_RE.fullmatch(line):
+                    rid, digest, _ = line.split(";", 2)
+                    self.entries[(rid, digest)] = line
 
     def get(self, rid, digest):
         return self.entries.get((rid, digest))
@@ -144,6 +163,9 @@ class InvariantCache:
                  if tuple(l.split(";")[:2]) not in self.entries]
         if self.path:
             with open(self.path, "a") as fh:
+                if self._torn_at is not None:
+                    fh.truncate(self._torn_at)
+                    self._torn_at = None
                 for line in fresh:
                     fh.write(line + "\n")
         for line in fresh:

@@ -1,5 +1,6 @@
 import pytest
 
+from knotfold import bracket
 from knotfold.bracket import (
     bracket_to_jones,
     jones,
@@ -7,7 +8,7 @@ from knotfold.bracket import (
     skein_check,
 )
 from knotfold.diagrams import mirror, parse_pd, realize_dt, parse_dt
-from knotfold.errors import CapExceeded
+from knotfold.errors import CapExceeded, SweepNotClosed
 from knotfold.laurent import LaurentPolynomial, substitute_inverse
 
 
@@ -40,6 +41,14 @@ class TestBracketBasics:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             kauffman_bracket(realize_dt(parse_dt("4 6 2")), "magic")
+
+    def test_sweep_not_closed(self, monkeypatch):
+        # an order that skips a crossing leaves strands open; the check is
+        # a real error, so it also holds under python -O
+        order = bracket._sweep_order
+        monkeypatch.setattr(bracket, "_sweep_order", lambda d: order(d)[:-1])
+        with pytest.raises(SweepNotClosed):
+            kauffman_bracket(realize_dt(parse_dt("4 6 2")), "sweep")
 
 
 class TestEvaluatorEquivalence:

@@ -1,11 +1,14 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knotfold.bracket import jones
 from knotfold.diagrams import (
     DTSequence,
     PlanarDiagram,
+    _dt_crossing_tuples,
     all_dt_codes,
     dt_code,
     from_even_under,
@@ -16,6 +19,11 @@ from knotfold.diagrams import (
     realize_dt,
     serialize_pd,
     writhe,
+)
+from knotfold.families import (
+    double_twist_diagram,
+    double_twist_is_knot,
+    jones_double_twist,
 )
 from knotfold.errors import (
     BadArcMultiplicity,
@@ -132,11 +140,78 @@ class TestRealization:
                     assert len(d.faces()) == d.n + 2
                 except NotRealizable:
                     # oracle: exhaustively confirm no sense assignment works
-                    from knotfold.diagrams import _dt_crossing_tuples
                     for mask in range(4):
                         eps = [1, 1 if mask & 1 == 0 else -1,
                                1 if mask & 2 == 0 else -1]
                         assert _dt_crossing_tuples(seq, eps, "a") is None
+
+
+def _search_senses(code):
+    """Oracle: the exhaustive search realize_dt used to run.
+
+    Masks over crossings 1..n-1 (crossing 0 fixed at +1) in binary
+    counting order; the first whose rotation system passes the Euler face
+    count wins.  Planarity does not depend on the sign convention, so one
+    search serves both.  Returns None when no mask is planar.
+    """
+    n = len(code)
+    for mask in range(1 << (n - 1)):
+        eps = [1] + [1 if (mask >> k) & 1 == 0 else -1 for k in range(n - 1)]
+        if _dt_crossing_tuples(code, eps, "a") is not None:
+            return eps
+    return None
+
+
+def _assert_matches_search(code):
+    eps = _search_senses(code)
+    for convention in ("a", "b"):
+        if eps is None:
+            with pytest.raises(NotRealizable):
+                realize_dt(code, convention)
+        else:
+            want = PlanarDiagram(_dt_crossing_tuples(code, eps, convention))
+            assert realize_dt(code, convention) == want, (code, convention)
+
+
+class TestRealizationMatchesSearch:
+    def test_every_pairing_up_to_7_crossings(self):
+        rng = random.Random(1983)
+        realizable = 0
+        for n in range(1, 8):
+            for perm in itertools.permutations(range(2, 2 * n + 1, 2)):
+                code = DTSequence(tuple(rng.choice((1, -1)) * e
+                                        for e in perm))
+                _assert_matches_search(code)
+                realizable += _search_senses(code) is not None
+        # both outcomes are exercised: 4094 of the 5913 pairings embed
+        assert realizable == 4094
+
+    @pytest.mark.parametrize("text", [
+        "2", "2 4", "2 6 8 4", "4 6 2 10 12 8", "4 6 2 -10 -12 -8",
+        "4 6 2 8 12 14 10", "6 8 10 2 4 14 16 12"])
+    def test_connected_sums(self, text):
+        # several interlacement components: each is pinned separately
+        _assert_matches_search(parse_dt(text))
+
+    def test_connected_sum_jones_is_product(self):
+        trefoil = jones(realize_dt(parse_dt("4 6 2")))
+        factors = (trefoil, trefoil.substitute_inverse())
+        got = jones(realize_dt(parse_dt("4 6 2 10 12 8")))
+        assert got in {a * b for a in factors for b in factors}
+
+    def test_double_twist_40_crossings(self):
+        # out of reach for the search: 2^39 masks per code
+        m, n = 14, 26
+        assert double_twist_is_knot(m, n)
+        want = jones_double_twist(m, n)
+        allowed = (want, want.substitute_inverse())
+        for convention in ("a", "b"):
+            codes = all_dt_codes(double_twist_diagram(m, n), convention)
+            assert codes
+            for entries in sorted(codes):
+                d = realize_dt(DTSequence(entries), convention)
+                assert d.n == m + n
+                assert jones(d) in allowed
 
 
 class TestMirror:

@@ -59,6 +59,14 @@ class TestIngest:
             (2, "UnknownFormat"), (3, "OddEntry"),
             (4, "UnknownFormat"), (5, "UnknownFormat")]
 
+    def test_non_utf8_line_is_quarantined(self, tmp_path):
+        p = tmp_path / "bytes.dt"
+        p.write_bytes(b"ok;3;4 6 2\nbad\xff;3;4 6 2\nalso;4;4 6 8 2\n")
+        ds = ingest([str(p)])
+        assert [r.id for r in ds.records] == ["ok", "also"]
+        assert [(lineno, reason.split(":")[0])
+                for _, lineno, reason in ds.rejects] == [(2, "UnknownFormat")]
+
     def test_blank_and_comment_lines_skipped(self, tmp_path):
         p = tmp_path / "c.dt"
         p.write_text("# header\n\nk;3;4 6 2\n")
@@ -120,6 +128,35 @@ class TestComputeBatch:
                 dst.write(line)
         compute_batch(ds, InvariantCache(partial), workers=1)
         assert open(partial, "rb").read() == open(full, "rb").read()
+
+    def test_torn_last_line_resumes_to_same_bytes(self, tmp_path):
+        """A cache cut at any byte of its last line resumes to the bytes
+        of an uninterrupted run."""
+        ds = ingest([FIXTURE_FILE])
+        full = tmp_path / "full.txt"
+        compute_batch(ds, InvariantCache(str(full)), workers=1)
+        data = full.read_bytes()
+        start = data.rstrip(b"\n").rfind(b"\n") + 1
+        torn = tmp_path / "torn.txt"
+        for cut in range(start, len(data)):
+            torn.write_bytes(data[:cut])
+            records, failures = compute_batch(
+                ds, InvariantCache(str(torn)), workers=1)
+            assert len(records) == 8 and not failures, cut
+            assert torn.read_bytes() == data, cut
+
+    def test_undecodable_cache_line_skipped(self, tmp_path):
+        ds = ingest([FIXTURE_FILE])
+        path = tmp_path / "cache.txt"
+        compute_batch(ds, InvariantCache(str(path)), workers=1)
+        lines = path.read_text().splitlines(keepends=True)
+        rid, digest, _ = lines[1].split(";", 2)
+        lines[1] = f"{rid};{digest};1*q^;?;1;0\n"
+        path.write_text("".join(lines))
+        cache = InvariantCache(str(path))
+        assert cache.get(rid, digest) is None
+        records, failures = compute_batch(ds, cache, workers=1)
+        assert len(records) == 8 and not failures
 
     def test_failures_surface_and_raise(self, tmp_path):
         p = tmp_path / "bad.dt"
@@ -296,6 +333,21 @@ class TestCli:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)  # no traceback
         assert "--max-crossings" in result.output
+
+    @pytest.mark.parametrize("args", [
+        ["analyze", "--family", "torus", "--max-crossings", "2"],
+        ["analyze", FIXTURE_FILE, "--kmin", "5", "--kmax", "3"],
+        ["analyze", FIXTURE_FILE, "--filtration", "norm", "--levels", "0"],
+        ["analyze", FIXTURE_FILE, "--bins", "0"],
+        ["generate", "--family", "torus", "--max-crossings", "2"],
+    ])
+    def test_bad_option_is_usage_error(self, tmp_path, args):
+        extra = (["--cache", str(tmp_path / "c.txt")] if args[0] == "generate"
+                 else ["--out", str(tmp_path / "rep")])
+        result = CliRunner().invoke(main, args + extra)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert "Traceback" not in result.output
 
     def test_analyze_error_exit_code(self, tmp_path):
         result = CliRunner().invoke(
