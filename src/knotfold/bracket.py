@@ -21,11 +21,9 @@ _A_PAIRS = ((0, 1), (2, 3))
 _B_PAIRS = ((0, 3), (1, 2))
 
 
-def _delta(var="A"):
-    """Bracket loop value: -A^2 - A^-2 (or its image -q^(1/2)-q^(-1/2))."""
-    if var == "A":
-        return LaurentPolynomial.from_coeffs(-2, [-1, 0, 0, 0, -1], "A")
-    return LaurentPolynomial({2: -1, -2: -1}, "q")
+def _delta():
+    """Bracket loop value: -A^2 - A^-2."""
+    return LaurentPolynomial.from_coeffs(-2, [-1, 0, 0, 0, -1], "A")
 
 
 def _bracket_statesum(d, cap):
@@ -38,7 +36,7 @@ def _bracket_statesum(d, cap):
     index = {dart: i for i, dart in enumerate(darts)}
 
     total = LaurentPolynomial.zero("A")
-    delta = _delta("A")
+    delta = _delta()
     delta_pows = {0: LaurentPolynomial.one("A")}
 
     for state in range(1 << n):
@@ -202,7 +200,7 @@ def _bracket_sweep(d, budget):
     one = LaurentPolynomial.one("A")
     a_mono = LaurentPolynomial.monomial(1, 1, "A")
     b_mono = LaurentPolynomial.monomial(1, -1, "A")
-    delta = _delta("A")
+    delta = _delta()
 
     states = {(): one}  # canonical matching key -> accumulated weight
     for ci in order:
@@ -235,7 +233,7 @@ def kauffman_bracket(d, mode="sweep", cap=STATESUM_CAP,
                      budget=SWEEP_STATE_BUDGET):
     """Kauffman bracket of a diagram, 0-crossing unknot normalized to 1."""
     if d.n == 0:
-        delta = _delta("A")
+        delta = _delta()
         out = LaurentPolynomial.one("A")
         for _ in range(d.component_count - 1):
             out = out * delta

@@ -7,7 +7,7 @@ import sys
 
 import click
 
-from .errors import KnotfoldError
+from .errors import BadEnvironment, KnotfoldError
 from .pipeline import (
     AnalysisConfig,
     InvariantCache,
@@ -20,6 +20,20 @@ from .pipeline import (
 
 _CLASS_ALIASES = {"all": "all", "alt": "alternating",
                   "nonalt": "nonalternating"}
+
+
+def _default_workers():
+    """default_workers(), with a bad KNOTFOLD_WORKERS as a usage error."""
+    try:
+        return default_workers()
+    except BadEnvironment as exc:
+        raise click.UsageError(str(exc)) from None
+
+
+def _share(ctx, param, value):
+    if not 0 < value <= 1:  # false for NaN too
+        raise click.BadParameter(f"{value} is not in the range 0<x<=1")
+    return value
 
 
 @click.group()
@@ -51,15 +65,15 @@ def ingest_cmd(paths, fmt, dt_sign_convention):
 @click.option("--dt-sign-convention", type=click.Choice(["a", "b"]),
               default="a", show_default=True)
 @click.option("--cache", type=click.Path(), required=True)
-@click.option("--workers", type=int, default=None,
+@click.option("--workers", type=click.IntRange(min=1), default=None,
               help="defaults to core count or KNOTFOLD_WORKERS")
 def compute_cmd(paths, fmt, dt_sign_convention, cache, workers):
     """Compute canonicalized Jones invariants into the cache."""
+    workers = workers or _default_workers()
     ds = ingest(paths, fmt, dt_sign_convention)
     store = InvariantCache(cache)
     records, failures = compute_batch(
-        ds, store, workers or default_workers(), dt_sign_convention,
-        max_failure_fraction=1.0)
+        ds, store, workers, dt_sign_convention, max_failure_fraction=1.0)
     click.echo(f"computed {len(records)} records, {len(failures)} failures")
     for rid, reason in failures:
         click.echo(f"failure {rid}: {reason}", err=True)
@@ -91,8 +105,9 @@ def _load_records(cache_path, paths, fmt, convention, family, max_crossings):
         return records, [digest]
     if not paths:
         raise click.UsageError("need dataset paths or --family")
+    workers = _default_workers()
     ds = ingest(paths, fmt, convention)
-    records, _ = compute_batch(ds, store, convention=convention,
+    records, _ = compute_batch(ds, store, workers, convention,
                                max_failure_fraction=1.0)
     return records, [ds.digest]
 
@@ -118,7 +133,7 @@ def _load_records(cache_path, paths, fmt, convention, family, max_crossings):
 @click.option("--bins", type=click.IntRange(min=1), default=20,
               show_default=True)
 @click.option("--variance-threshold", type=float, default=0.95,
-              show_default=True)
+              show_default=True, callback=_share)
 @click.option("--out", type=click.Path(), required=True)
 def analyze_cmd(paths, fmt, dt_sign_convention, family, max_crossings,
                 cache, filtration, class_filter, levels, kmin, kmax, bins,

@@ -105,3 +105,7 @@ class Unreadable(KnotfoldError):
 
 class UnknownFormat(KnotfoldError):
     pass
+
+
+class BadEnvironment(KnotfoldError):
+    pass

@@ -1,21 +1,20 @@
 """Closed-form Jones generators for torus and double twist families.
 
-Torus knots use the classical closed form with an exact synthetic division;
-double twist knots expand each twist region in the two-strand tangle basis
-{horizontal, vertical}, so the bracket of the closure costs a handful of
-polynomial products instead of a full diagram evaluation.  Both routes are
-validated against the diagram evaluators in the test suite, which is why
-the explicit diagram builders live here too.
+Torus knots use the classical closed form with an exact synthetic division.
+Double twist knots C(m, n) take their writhe and Kauffman bracket from
+closed forms in m, n and their parities, at O(m + n) integer operations
+per member.  The diagram builders (torus_diagram, double_twist_diagram) are
+test oracles for these closed forms; no production path calls them.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .bracket import _delta, bracket_to_jones
-from .diagrams import PlanarDiagram, from_even_under, writhe
+from .bracket import bracket_to_jones
+from .diagrams import PlanarDiagram, from_even_under
 from .errors import NotAKnot
-from .laurent import LaurentPolynomial
+from .laurent import QUARTER, LaurentPolynomial
 
 
 def torus_crossing_number(m, n):
@@ -165,62 +164,40 @@ def double_twist_members(max_crossings):
     return sorted(out, key=lambda mn: (mn[0] + mn[1], mn))
 
 
-class _TwistTables:
-    """Tangle-basis expansions of twist regions, shared across a family.
+def double_twist_bracket(m, n):
+    """Kauffman bracket of double_twist_diagram(m, n), in closed form.
 
-    h[k] = (a, b) with k horizontal crossings equal to a*[horizontal] +
-    b*[vertical]; v[k] likewise for k vertical crossings.  Coefficient
-    recursions follow from smoothing one crossing at a time.
+    The regions unroll to A^m [h] + b [v] and c [h] + A^-n [v], with b and c
+    alternating series in A^4, and the delta = -A^2 - A^-2 products of the
+    closure telescope.  Every term lies on A^(-3m-n+4i), i = 0..m+n, with
+    coefficient (-1)^(m+i) min(m, n, i, m+n-i), plus (-1)^m at i = 0, plus
+    (-1)^n at i = m+n, minus 1 at i = m.  Only the tests build the diagram.
     """
-
-    def __init__(self):
-        one = LaurentPolynomial.one("A")
-        zero = LaurentPolynomial.zero("A")
-        self.h = [(one, zero)]
-        self.v = [(zero, one)]
-        self.delta = _delta("A")
-        self.A = LaurentPolynomial.monomial(1, 1, "A")
-        self.Ainv = LaurentPolynomial.monomial(1, -1, "A")
-
-    def horizontal(self, k):
-        # One more crossing contributes p*[horizontal] + q*[vertical] with
-        # (p, q) = (A, A^-1), calibrated against the diagram evaluators.
-        while len(self.h) <= k:
-            a, b = self.h[-1]
-            p, q = self.A, self.Ainv
-            self.h.append((a * p, a * q + b * p + b * q * self.delta))
-        return self.h[k]
-
-    def vertical(self, k):
-        while len(self.v) <= k:
-            c, d = self.v[-1]
-            p, q = self.A, self.Ainv
-            self.v.append((c * p * self.delta + c * q + d * p, d * q))
-        return self.v[k]
-
-
-_TABLES = _TwistTables()
-
-
-def double_twist_bracket(m, n, tables=None):
-    """Bracket of the positive double twist diagram via the tangle tables."""
-    tb = tables or _TABLES
-    a, b = tb.horizontal(m)
-    c, d = tb.vertical(n)
-    return a * c * tb.delta + a * d + b * c + b * d * tb.delta
+    coeffs = [min(m, n, i, m + n - i) * (-1 if (m + i) % 2 else 1)
+              for i in range(m + n + 1)]
+    coeffs[0] += -1 if m % 2 else 1
+    coeffs[m + n] += -1 if n % 2 else 1
+    coeffs[m] -= 1
+    return LaurentPolynomial({QUARTER * (4 * i - 3 * m - n): c
+                              for i, c in enumerate(coeffs)}, "A")
 
 
 def double_twist_writhe(m, n):
-    """Writhe of the diagram built by double_twist_diagram."""
-    if m == 0 and n == 0:
-        return 0
-    return writhe(double_twist_diagram(m, n))
+    """Writhe of double_twist_diagram(m, n), in closed form.
+
+    The strand orientations depend only on the parities of m and n:
+    -(m + n) if m is odd, m + n if m is even and n odd, and n - m if both
+    are even.  Only the tests build the diagram.
+    """
+    if m % 2:
+        return -(m + n)
+    if n % 2:
+        return m + n
+    return n - m
 
 
 def jones_double_twist(m, n):
     """Jones polynomial of the positive double twist knot C(m, n)."""
     if m < 0 or n < 0:
         raise ValueError("twist parameters must be nonnegative")
-    if (m + n) == 0:
-        return LaurentPolynomial.one("q")
     return bracket_to_jones(double_twist_bracket(m, n), double_twist_writhe(m, n))

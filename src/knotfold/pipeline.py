@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .bracket import jones
 from .cloud import KnotRecord, canonical_orientation
 from .diagrams import is_alternating, parse_dt, parse_pd, realize_dt
-from .errors import KnotfoldError, Unreadable, UnknownFormat
+from .errors import BadEnvironment, KnotfoldError, Unreadable, UnknownFormat
 from .families import (
     double_twist_members,
     jones_double_twist,
@@ -226,7 +226,11 @@ def _compute_one(args):
 def default_workers():
     env = os.environ.get("KNOTFOLD_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise BadEnvironment(
+                f"KNOTFOLD_WORKERS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from knotfold import diagrams, families
 from knotfold.bracket import jones, kauffman_bracket
 from knotfold.diagrams import is_alternating, writhe
 from knotfold.errors import NotAKnot
@@ -8,6 +9,7 @@ from knotfold.families import (
     double_twist_diagram,
     double_twist_is_knot,
     double_twist_members,
+    double_twist_writhe,
     jones_double_twist,
     jones_torus,
     torus_crossing_number,
@@ -15,6 +17,7 @@ from knotfold.families import (
     torus_members,
 )
 from knotfold.laurent import LaurentPolynomial
+from knotfold.pipeline import generate_family
 
 
 class TestTorusClosedForm:
@@ -112,3 +115,28 @@ class TestDoubleTwist:
     def test_knot_outputs_integral(self):
         for m, n in double_twist_members(8):
             assert jones_double_twist(m, n).is_integral(), (m, n)
+
+    def test_closed_forms_match_diagram_up_to_40(self):
+        """Writhe and bracket closed forms against the diagram oracle for
+        every 0 < m + n <= 40: knots, two-component links (m, n both odd)
+        and the degenerate rows m = 0 and n = 0."""
+        for total in range(1, 41):
+            for m in range(total + 1):
+                n = total - m
+                d = double_twist_diagram(m, n)
+                assert double_twist_writhe(m, n) == writhe(d), (m, n)
+                assert double_twist_bracket(m, n) == \
+                    kauffman_bracket(d, "sweep"), (m, n)
+
+    def test_generation_builds_no_diagram(self, monkeypatch):
+        """The family generator runs on the closed forms alone; the diagram
+        builders are test oracles and never sit on the production path."""
+        expected = generate_family("double_twist", 40)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("diagram built on the production path")
+
+        monkeypatch.setattr(families, "double_twist_diagram", refuse)
+        monkeypatch.setattr(families, "from_even_under", refuse)
+        monkeypatch.setattr(diagrams, "from_even_under", refuse)
+        assert generate_family("double_twist", 40) == expected

@@ -10,7 +10,8 @@ from click.testing import CliRunner
 
 import knotfold
 from knotfold.cli import main
-from knotfold.errors import KnotfoldError, Unreadable, UnknownFormat
+from knotfold.errors import (BadEnvironment, KnotfoldError, Unreadable,
+                             UnknownFormat)
 from knotfold.pipeline import (
     AnalysisConfig,
     InvariantCache,
@@ -22,6 +23,16 @@ from knotfold.pipeline import (
 )
 
 from conftest import FIXTURE_FILE, TABLE_POLYS
+
+
+def run_cli(args, **env):
+    """Run the CLI in a fresh interpreter, as a shell user would."""
+    src = os.path.dirname(os.path.dirname(knotfold.__file__))
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "knotfold.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=300)
 
 
 def bundle_bytes(out_dir):
@@ -188,6 +199,11 @@ class TestDefaultWorkers:
         monkeypatch.setenv("KNOTFOLD_WORKERS", "0")
         assert default_workers() == 1
 
+    def test_non_integer_env(self, monkeypatch):
+        monkeypatch.setenv("KNOTFOLD_WORKERS", "abc")
+        with pytest.raises(BadEnvironment, match="KNOTFOLD_WORKERS.*'abc'"):
+            default_workers()
+
 
 class TestGenerateFamily:
     def test_torus_counts(self):
@@ -349,6 +365,41 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)  # no traceback
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("command", ["compute", "analyze"])
+    def test_non_integer_workers_env(self, tmp_path, command):
+        extra = (["--cache", str(tmp_path / "c.txt")] if command == "compute"
+                 else ["--out", str(tmp_path / "rep")])
+        result = run_cli([command, FIXTURE_FILE] + extra,
+                         KNOTFOLD_WORKERS="abc")
+        assert result.returncode == 2
+        assert "KNOTFOLD_WORKERS must be an integer, got 'abc'" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_negative_workers_option(self, tmp_path):
+        result = run_cli(["compute", FIXTURE_FILE, "--cache",
+                          str(tmp_path / "c.txt"), "--workers", "-3"])
+        assert result.returncode == 2
+        assert "--workers" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "c.txt").exists()
+
+    @pytest.mark.parametrize("threshold", ["0", "2", "-0.5", "nan", "inf"])
+    def test_variance_threshold_out_of_range(self, tmp_path, threshold):
+        result = CliRunner().invoke(
+            main, ["analyze", FIXTURE_FILE, "--variance-threshold", threshold,
+                   "--out", str(tmp_path / "rep")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert "--variance-threshold" in result.output
+
+    @pytest.mark.parametrize("threshold", ["1.0", "0.95"])
+    def test_variance_threshold_in_range(self, tmp_path, threshold):
+        result = CliRunner().invoke(
+            main, ["analyze", FIXTURE_FILE, "--variance-threshold", threshold,
+                   "--out", str(tmp_path / "rep")])
+        assert result.exit_code == 0, result.output
+        assert "step 6: n=8 d=11" in result.output
+
     def test_analyze_error_exit_code(self, tmp_path):
         result = CliRunner().invoke(
             main, ["analyze", FIXTURE_FILE, "--class", "nonalt",
@@ -370,17 +421,11 @@ def test_bundle_independent_of_blas_threads(tmp_path):
     """PCA's BLAS and LAPACK calls run on one thread, so
     OPENBLAS_NUM_THREADS does not reach the report; torus <= 100 differs in
     its last digits when they are left multi-threaded."""
-    src = os.path.dirname(os.path.dirname(knotfold.__file__))
     bundles = []
     for threads in ("1", "2"):
         out = str(tmp_path / f"rep{threads}")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run(
-            [sys.executable, "-m", "knotfold.cli", "analyze",
-             "--family", "torus", "--max-crossings", "100",
-             "--kmin", "100", "--kmax", "100", "--out", out],
-            env=env, check=True, capture_output=True, timeout=300)
+        run_cli(["analyze", "--family", "torus", "--max-crossings", "100",
+                 "--kmin", "100", "--kmax", "100", "--out", out],
+                OPENBLAS_NUM_THREADS=threads).check_returncode()
         bundles.append(bundle_bytes(out))
     assert bundles[0] == bundles[1]
