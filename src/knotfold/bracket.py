@@ -5,6 +5,14 @@ Two independent evaluators are provided: an exhaustive state sum over all
 one at a time while tracking how the open strand ends of the processed part
 pair up.  Both return the bracket in the variable A with the 0-crossing
 unknot normalized to 1.
+
+A sweep state is an involution on the open arc labels, kept under a
+canonical key: the sorted tuple of its pairs (x, y) with x < y.  A crossing
+is added by splicing each of its two smoothing strands onto the paths of
+the involution.  A strand whose two slots carry the same label (a kink
+arc), or whose labels are the two ends of one path, closes a loop; any
+other strand joins the far ends of the paths at its labels, where a label
+with no path yet is its own far end.
 """
 
 from __future__ import annotations
@@ -78,131 +86,61 @@ def _bracket_statesum(d, cap):
 
 
 def _sweep_order(d):
-    """Greedy crossing order keeping the open boundary small."""
-    n = d.n
-    occ = d.arc_occurrences()
-    remaining = set(range(n))
-    processed = set()
+    """Greedy crossing order keeping the open boundary small.
+
+    A label that occurs twice at one crossing is a kink arc and never open;
+    every other label toggles open or closed as its crossings are swept.
+    """
+    boundary = [{lab for lab in cr if cr.count(lab) == 1}
+                for cr in d.crossings]
+    remaining = list(range(d.n))
     open_labels = set()
     order = []
     while remaining:
-        best = None
-        for ci in sorted(remaining):
-            labels = d.crossings[ci]
-            width = len(open_labels)
-            for lab in set(labels):
-                slots_here = sum(1 for (cj, _) in occ[lab] if cj == ci)
-                if slots_here == 2:
-                    continue  # kink arc, never on the boundary
-                if lab in open_labels:
-                    width -= 1
-                else:
-                    width += 1
-            if best is None or width < best[0]:
-                best = (width, ci)
-        _, ci = best
-        order.append(ci)
+        ci = min(remaining, key=lambda c: len(open_labels ^ boundary[c]))
         remaining.remove(ci)
-        processed.add(ci)
-        for lab in set(d.crossings[ci]):
-            slots_here = sum(1 for (cj, _) in occ[lab] if cj == ci)
-            if slots_here == 2:
-                continue
-            if lab in open_labels:
-                open_labels.remove(lab)
-            else:
-                open_labels.add(lab)
+        order.append(ci)
+        open_labels ^= boundary[ci]
     return order
 
 
 def _apply_crossing(matching, slot_labels, pairs):
-    """Attach one smoothed crossing to the boundary matching.
+    """Splice one smoothed crossing onto the boundary matching.
 
-    The boundary strands, the two smoothing strands, and the arcs tying them
-    together form a graph of maximum degree 2; its paths give the new
-    matching and its cycles are closed loops.  Returns (new matching key,
-    closed loop count).  ``matching`` is an involution on open arc labels.
+    ``ends`` starts as a copy of ``matching``, the involution pairing the two
+    open arc labels at the ends of each path through the processed part.
+    Each smoothing strand then joins the labels a, b of its two slots.  When
+    a == b (a kink arc) or ends[a] == b (the strand closes a path) a loop is
+    closed and both labels leave.  Otherwise each of a, b is replaced by the
+    far end of its path, or opens when it has none, and the two far ends
+    are paired.  Returns (new matching key, closed loop count); the key is
+    the sorted tuple of pairs (x, y) with x < y, so equal matchings give
+    equal keys.
     """
-    label_slots = {}
-    for s, lab in enumerate(slot_labels):
-        label_slots.setdefault(lab, []).append(s)
-
-    edges = []
-    for x, y in matching.items():
-        if x < y:
-            edges.append((("f", x), ("f", y)))
+    ends, loops = dict(matching), 0
     for s1, s2 in pairs:
-        edges.append((("c", s1), ("c", s2)))
-    terminal_label = {}
-    for lab, ss in label_slots.items():
-        if len(ss) == 2:  # kink arc: both occurrences at this crossing
-            edges.append((("c", ss[0]), ("c", ss[1])))
-        elif lab in matching:  # other occurrence already processed
-            edges.append((("c", ss[0]), ("f", lab)))
-        else:  # other occurrence still unprocessed: stays open
-            terminal_label[("c", ss[0])] = lab
-
-    adj = {}
-    for eid, (u, v) in enumerate(edges):
-        adj.setdefault(u, []).append((eid, v))
-        adj.setdefault(v, []).append((eid, u))
-    for node in terminal_label:
-        adj.setdefault(node, [])
-
-    used = [False] * len(edges)
-    new_matching = {}
-    endpoints = [node for node, nbrs in adj.items() if len(nbrs) == 1]
-    endpoints += list(terminal_label)
-
-    def end_label(node):
-        if node[0] == "f":
-            return node[1]
-        return terminal_label[node]
-
-    done = set()
-    for start in endpoints:
-        if start in done:
+        a, b = slot_labels[s1], slot_labels[s2]
+        if a == b or ends.get(a) == b:
+            loops += 1
+            ends.pop(a, None)
+            ends.pop(b, None)
             continue
-        done.add(start)
-        cur = start
-        while True:
-            step = next(((eid, other) for eid, other in adj[cur]
-                         if not used[eid]), None)
-            if step is None:
-                break
-            used[step[0]] = True
-            cur = step[1]
-        done.add(cur)
-        a, b = end_label(start), end_label(cur)
-        new_matching[a] = b
-        new_matching[b] = a
-
-    loops = 0
-    for eid, (u, v) in enumerate(edges):
-        if used[eid]:
-            continue
-        loops += 1
-        cur = u
-        while True:
-            step = next(((k, other) for k, other in adj[cur] if not used[k]),
-                        None)
-            if step is None:
-                break
-            used[step[0]] = True
-            cur = step[1]
-    key = tuple(sorted((x, y) for x, y in new_matching.items() if x < y))
+        x = ends.pop(a, a)
+        if x != a:
+            del ends[x]
+        y = ends.pop(b, b)
+        if y != b:
+            del ends[y]
+        ends[x], ends[y] = y, x
+    key = tuple(sorted((x, y) for x, y in ends.items() if x < y))
     return key, loops
 
 
 def _bracket_sweep(d, budget):
-    n = d.n
     order = _sweep_order(d)
-    one = LaurentPolynomial.one("A")
-    a_mono = LaurentPolynomial.monomial(1, 1, "A")
-    b_mono = LaurentPolynomial.monomial(1, -1, "A")
     delta = _delta()
 
-    states = {(): one}  # canonical matching key -> accumulated weight
+    states = {(): LaurentPolynomial.one("A")}  # matching key -> weight
     for ci in order:
         labels = d.crossings[ci]
         new_states = {}
@@ -211,9 +149,9 @@ def _bracket_sweep(d, budget):
             for x, y in key:
                 matching[x] = y
                 matching[y] = x
-            for pairs, mono in ((_A_PAIRS, a_mono), (_B_PAIRS, b_mono)):
+            for pairs, exp4 in ((_A_PAIRS, 4), (_B_PAIRS, -4)):
                 k2, loops = _apply_crossing(matching, labels, pairs)
-                w = weight * mono
+                w = weight.shift4(exp4)  # A^+1 or A^-1
                 for _ in range(loops):
                     w = w * delta
                 acc = new_states.get(k2)

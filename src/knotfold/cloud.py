@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagrams import mirror as mirror_diagram
 from .errors import EmptyFamily, WindowOverflow
 from .laurent import LaurentPolynomial
 
@@ -24,7 +23,6 @@ class KnotRecord:
     id: str
     crossing_number: int
     jones: LaurentPolynomial
-    diagram: object = None
     alternating: bool = None
     sigma: int = None
     s_invariant: int = None
@@ -36,7 +34,6 @@ def mirror_record(r):
     return replace(
         r,
         jones=r.jones.substitute_inverse(),
-        diagram=None if r.diagram is None else mirror_diagram(r.diagram),
         sigma=None if r.sigma is None else -r.sigma,
         s_invariant=None if r.s_invariant is None else -r.s_invariant,
         mirror_applied=not r.mirror_applied,

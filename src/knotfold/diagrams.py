@@ -67,6 +67,36 @@ def parse_dt(text):
     return DTSequence(tuple(entries))
 
 
+def _dart_mate(crossings):
+    """Involution pairing the two darts of every arc label in ``crossings``."""
+    occ = {}
+    for ci, cr in enumerate(crossings):
+        for s, label in enumerate(cr):
+            occ.setdefault(label, []).append((ci, s))
+    mate = {}
+    for a, b in occ.values():
+        mate[a] = b
+        mate[b] = a
+    return mate
+
+
+def _faces(crossings):
+    """Faces of the rotation system of CCW crossing tuples, as corner lists."""
+    mate = _dart_mate(crossings)
+    todo = {(ci, s) for ci in range(len(crossings)) for s in range(4)}
+    faces = []
+    while todo:
+        c = next(iter(todo))
+        face = []
+        while c in todo:
+            todo.remove(c)
+            face.append(c)
+            ci, s = c
+            c = mate[(ci, (s + 1) % 4)]
+        faces.append(face)
+    return faces
+
+
 @dataclass(frozen=True)
 class PlanarDiagram:
     """A link diagram: crossings as CCW 4-tuples of arc labels (PD code)."""
@@ -105,12 +135,7 @@ class PlanarDiagram:
 
     def dart_mate(self):
         """Involution pairing the two darts of every arc."""
-        mate = {}
-        for darts in self.arc_occurrences().values():
-            a, b = darts
-            mate[a] = b
-            mate[b] = a
-        return mate
+        return _dart_mate(self.crossings)
 
     def orientation(self):
         """Trace every component, directing each arc.
@@ -175,20 +200,7 @@ class PlanarDiagram:
         """
         if not self.crossings:
             return [[(None, 0)], [(None, 1)]]
-        mate = self.dart_mate()
-        todo = {(ci, s) for ci in range(self.n) for s in range(4)}
-        faces = []
-        while todo:
-            corner = next(iter(todo))
-            face = []
-            c = corner
-            while c in todo:
-                todo.remove(c)
-                face.append(c)
-                ci, s = c
-                c = mate[(ci, (s + 1) % 4)]
-            faces.append(face)
-        return faces
+        return _faces(self.crossings)
 
 
 def mirror(d):
@@ -229,14 +241,7 @@ def from_even_under(crossings):
     """
     if not crossings:
         return PlanarDiagram(())
-    occ = {}
-    for ci, cr in enumerate(crossings):
-        for s, lab in enumerate(cr):
-            occ.setdefault(lab, []).append((ci, s))
-    mate = {}
-    for a, b in occ.values():
-        mate[a] = b
-        mate[b] = a
+    mate = _dart_mate(crossings)
     incoming = set()
     seen = set()
     for ci0 in range(len(crossings)):
@@ -279,24 +284,7 @@ def _dt_crossing_tuples(code, eps, convention):
         geo.append(g)
 
     # Planarity: V - E + F = 2 needs n + 2 faces of the rotation system.
-    occ = {}
-    for ci, g in enumerate(geo):
-        for s, label in enumerate(g):
-            occ.setdefault(label, []).append((ci, s))
-    mate = {}
-    for a, b in occ.values():
-        mate[a] = b
-        mate[b] = a
-    todo = {(ci, s) for ci in range(n) for s in range(4)}
-    nfaces = 0
-    while todo:
-        c = next(iter(todo))
-        while c in todo:
-            todo.remove(c)
-            ci, s = c
-            c = mate[(ci, (s + 1) % 4)]
-        nfaces += 1
-    if nfaces != n + 2:
+    if len(_faces(geo)) != n + 2:
         return None
 
     # Rotate each tuple to start at the incoming under-strand.

@@ -215,8 +215,7 @@ def _compute_one(args):
         else:
             alternating = is_alternating(diagram)
         s_inv = int(meta["s"]) if "s" in meta else None
-        rec = KnotRecord(rid, 0, poly, diagram=diagram,
-                         alternating=alternating, sigma=sigma,
+        rec = KnotRecord(rid, 0, poly, alternating=alternating, sigma=sigma,
                          s_invariant=s_inv)
         return index, _cache_line(rid, digest, canonical_orientation(rec)), None
     except (KnotfoldError, ValueError, OverflowError) as exc:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from knotfold import bracket
 from knotfold.bracket import (
@@ -7,8 +8,16 @@ from knotfold.bracket import (
     kauffman_bracket,
     skein_check,
 )
-from knotfold.diagrams import mirror, parse_pd, realize_dt, parse_dt
-from knotfold.errors import CapExceeded, SweepNotClosed
+from knotfold.diagrams import (
+    DT_CONVENTIONS,
+    DTSequence,
+    mirror,
+    parse_dt,
+    parse_pd,
+    realize_dt,
+)
+from knotfold.errors import CapExceeded, NotRealizable, SweepNotClosed
+from knotfold.families import torus_diagram
 from knotfold.laurent import LaurentPolynomial, substitute_inverse
 
 
@@ -64,6 +73,30 @@ class TestEvaluatorEquivalence:
             d = parse_pd(text)
             assert kauffman_bracket(d, "statesum") == \
                 kauffman_bracket(d, "sweep")
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_torus_diagrams(self, n):
+        # T(2, n): a link for even n
+        d = torus_diagram(n)
+        assert kauffman_bracket(d, "statesum") == kauffman_bracket(d, "sweep")
+
+    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+        st.permutations(range(2, 2 * n + 1, 2)),
+        st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))))
+    @settings(derandomize=True, deadline=None)
+    def test_random_dt_codes(self, pairing):
+        # random pairings include kinks: an odd time paired with a
+        # neighbouring even time
+        perm, signs = pairing
+        code = DTSequence(tuple(s * e for s, e in zip(signs, perm)))
+        try:
+            diagrams = [realize_dt(code, c) for c in DT_CONVENTIONS]
+        except NotRealizable:
+            reject()
+        for d in diagrams:
+            for e in (d, mirror(d)):
+                assert kauffman_bracket(e, "statesum") == \
+                    kauffman_bracket(e, "sweep"), code.entries
 
 
 class TestJones:
