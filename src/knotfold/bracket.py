@@ -6,13 +6,15 @@ one at a time while tracking how the open strand ends of the processed part
 pair up.  Both return the bracket in the variable A with the 0-crossing
 unknot normalized to 1.
 
-A sweep state is an involution on the open arc labels, kept under a
-canonical key: the sorted tuple of its pairs (x, y) with x < y.  A crossing
-is added by splicing each of its two smoothing strands onto the paths of
-the involution.  A strand whose two slots carry the same label (a kink
-arc), or whose labels are the two ends of one path, closes a loop; any
+A sweep state is an involution on the open arc labels, keyed by the
+frozenset of its (label, partner) items, which equal involutions share.
+A crossing is added by splicing each of its two smoothing strands onto the
+paths of the involution.  A strand whose two slots carry the same label (a
+kink arc), or whose labels are the two ends of one path, closes a loop; any
 other strand joins the far ends of the paths at its labels, where a label
-with no path yet is its own far end.
+with no path yet is its own far end.  A state's weight, a polynomial in A,
+is packed into one int by Kronecker substitution (see _bracket_sweep for
+the widths that keep the packing exact).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ def _bracket_statesum(d, cap):
     n = d.n
     if n > cap:
         raise CapExceeded(f"{n} crossings exceeds the state-sum cap {cap}")
-    mate = d.dart_mate()
+    mate = d.dart_mate
     arc_edges = [(a, b) for a, b in mate.items() if a < b]
     darts = [(ci, s) for ci in range(n) for s in range(4)]
     index = {dart: i for i, dart in enumerate(darts)}
@@ -91,33 +93,33 @@ def _sweep_order(d):
     A label that occurs twice at one crossing is a kink arc and never open;
     every other label toggles open or closed as its crossings are swept.
     """
-    boundary = [{lab for lab in cr if cr.count(lab) == 1}
-                for cr in d.crossings]
+    boundary = [sum(1 << lab for lab in cr if cr.count(lab) == 1)
+                for cr in d.crossings]  # label bitsets
     remaining = list(range(d.n))
-    open_labels = set()
+    open_labels = 0
     order = []
     while remaining:
-        ci = min(remaining, key=lambda c: len(open_labels ^ boundary[c]))
+        ci = min(remaining,
+                 key=lambda c: (open_labels ^ boundary[c]).bit_count())
         remaining.remove(ci)
         order.append(ci)
         open_labels ^= boundary[ci]
     return order
 
 
-def _apply_crossing(matching, slot_labels, pairs):
+def _apply_crossing(key, slot_labels, pairs):
     """Splice one smoothed crossing onto the boundary matching.
 
-    ``ends`` starts as a copy of ``matching``, the involution pairing the two
-    open arc labels at the ends of each path through the processed part.
+    ``ends`` starts as the matching ``key`` holds, the involution pairing the
+    two open arc labels at the ends of each path through the processed part.
     Each smoothing strand then joins the labels a, b of its two slots.  When
     a == b (a kink arc) or ends[a] == b (the strand closes a path) a loop is
     closed and both labels leave.  Otherwise each of a, b is replaced by the
     far end of its path, or opens when it has none, and the two far ends
     are paired.  Returns (new matching key, closed loop count); the key is
-    the sorted tuple of pairs (x, y) with x < y, so equal matchings give
-    equal keys.
+    the frozenset of the matching's (label, partner) items.
     """
-    ends, loops = dict(matching), 0
+    ends, loops = dict(key), 0
     for s1, s2 in pairs:
         a, b = slot_labels[s1], slot_labels[s2]
         if a == b or ends.get(a) == b:
@@ -132,39 +134,71 @@ def _apply_crossing(matching, slot_labels, pairs):
         if y != b:
             del ends[y]
         ends[x], ends[y] = y, x
-    key = tuple(sorted((x, y) for x, y in ends.items() if x < y))
-    return key, loops
+    return frozenset(ends.items()), loops
+
+
+def _unpack(packed, bits, off):
+    """Balanced base-2^bits digits of ``packed`` as a bracket in A.
+
+    Digit k, read in (-2^(bits-1), 2^(bits-1)], is the coefficient of
+    A^(k - off).
+    """
+    terms = {}
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    k = -off
+    while packed:
+        c = packed & mask
+        if c > half:
+            c -= 1 << bits
+        if c:
+            terms[4 * k] = c
+        packed = (packed - c) >> bits
+        k += 1
+    return LaurentPolynomial._trusted(terms, "A")
 
 
 def _bracket_sweep(d, budget):
-    order = _sweep_order(d)
-    delta = _delta()
+    """Bracket by the sweep, each state's weight packed into one int.
 
-    states = {(): LaurentPolynomial.one("A")}  # matching key -> weight
-    for ci in order:
+    A weight sum_e c_e A^e is the int sum_e c_e 2^(bits (e + off)), so
+    A^+-1 is a shift by ``bits``, a closed loop (-A^2 - A^-2) is
+    -(w << 2 bits) - (w >> 2 bits), and merging states is int addition.
+    These are exact int identities whenever every right shift is exact,
+    whatever the digit sizes; the digits only have to hold the final
+    coefficients when they are read back.  Widths, for n crossings: after
+    j of them at most 2^j smoothing histories reach a state, each a
+    monomial +-A^k (|k| <= j) times delta^L with L <= 2j loops closed.
+    delta^L has coefficient 1-norm 2^L and exponents within +-2L, so
+    every coefficient is at most 2^(3j) <= 2^(3n) in size, below the
+    2^(bits-1) that balanced digits of bits = 3n + 2 hold, and every
+    exponent, also between the shifts of one crossing, stays within +-5j.
+    With off = 5n every exponent plus off stays >= 0, so every right
+    shift drops only zero bits.
+    """
+    n = d.n
+    bits, off = 3 * n + 2, 5 * n
+    loop_shift = 2 * bits
+    closed = frozenset()
+    states = {closed: 1 << (bits * off)}  # matching key -> packed weight
+    for ci in _sweep_order(d):
         labels = d.crossings[ci]
         new_states = {}
         for key, weight in states.items():
-            matching = {}
-            for x, y in key:
-                matching[x] = y
-                matching[y] = x
-            for pairs, exp4 in ((_A_PAIRS, 4), (_B_PAIRS, -4)):
-                k2, loops = _apply_crossing(matching, labels, pairs)
-                w = weight.shift4(exp4)  # A^+1 or A^-1
+            for pairs, w in ((_A_PAIRS, weight << bits),
+                             (_B_PAIRS, weight >> bits)):
+                k2, loops = _apply_crossing(key, labels, pairs)
                 for _ in range(loops):
-                    w = w * delta
-                acc = new_states.get(k2)
-                new_states[k2] = w if acc is None else acc + w
+                    w = -(w << loop_shift) - (w >> loop_shift)
+                new_states[k2] = new_states.get(k2, 0) + w
         if len(new_states) > budget:
             raise WidthOverflow(
                 f"sweep produced {len(new_states)} boundary states")
         states = new_states
-    if list(states) != [()]:
+    if list(states) != [closed]:
         raise SweepNotClosed("sweep did not close all strands")
     # Every state closed all of its loops, so the total carries one spare
     # delta relative to the bracket normalization.
-    return states[()].exact_div(delta)
+    return _unpack(states[closed], bits, off).exact_div(_delta())
 
 
 def kauffman_bracket(d, mode="sweep", cap=STATESUM_CAP,
@@ -191,7 +225,7 @@ def bracket_to_jones(bracket, w):
     for e4, c in bracket.terms.items():
         e4f = e4 - 12 * w  # A^(-3w), stored exponents are 4 * A-exponent
         terms[-e4f // 4] = sign * c
-    return LaurentPolynomial(terms, "q")
+    return LaurentPolynomial._trusted(terms, "q")
 
 
 def jones(d, mode="sweep", cap=STATESUM_CAP, budget=SWEEP_STATE_BUDGET):

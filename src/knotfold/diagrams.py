@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 from .errors import (
     BadArcMultiplicity,
@@ -80,10 +82,9 @@ def _dart_mate(crossings):
     return mate
 
 
-def _faces(crossings):
-    """Faces of the rotation system of CCW crossing tuples, as corner lists."""
-    mate = _dart_mate(crossings)
-    todo = {(ci, s) for ci in range(len(crossings)) for s in range(4)}
+def _faces(n, mate):
+    """Faces of the rotation system on n crossings, as corner tuples."""
+    todo = {(ci, s) for ci in range(n) for s in range(4)}
     faces = []
     while todo:
         c = next(iter(todo))
@@ -93,13 +94,59 @@ def _faces(crossings):
             face.append(c)
             ci, s = c
             c = mate[(ci, (s + 1) % 4)]
-        faces.append(face)
-    return faces
+        faces.append(tuple(face))
+    return tuple(faces)
+
+
+def _orientation(n, mate):
+    """Trace every component of the diagram on n crossings with ``mate``.
+
+    Returns (components, incoming) as documented on
+    PlanarDiagram.orientation.
+    """
+    if not n:
+        return ((),), frozenset()
+    incoming = set()
+    components = []
+    seen_out = set()
+
+    def trace(start_out):
+        visits = []
+        out = start_out
+        while out not in seen_out:
+            seen_out.add(out)
+            ci, s = mate[out]  # strand arrives here
+            incoming.add((ci, s))
+            visits.append((ci, s))
+            out = (ci, (s + 2) % 4)
+        return tuple(visits)
+
+    # Components carrying an under-pass are forced: start at a slot-2 dart.
+    for ci in range(n):
+        if (ci, 2) not in seen_out:
+            components.append(trace((ci, 2)))
+    # A component that only ever passes over is traced with an arbitrary
+    # (but deterministic) direction.
+    for ci in range(n):
+        for s in (1, 3):
+            if (ci, s) not in seen_out and (ci, s) not in incoming:
+                components.append(trace((ci, s)))
+    for ci, s in incoming:
+        if s == 2:
+            raise Disconnected(
+                "under-strand enters at slot 2; PD violates the "
+                "incoming-under convention")
+    return tuple(components), frozenset(incoming)
 
 
 @dataclass(frozen=True)
 class PlanarDiagram:
-    """A link diagram: crossings as CCW 4-tuples of arc labels (PD code)."""
+    """A link diagram: crossings as CCW 4-tuples of arc labels (PD code).
+
+    The dart mate, the orientation and the faces are derived once, on
+    first use, and kept on the instance.  They are immutable (a read-only
+    mapping, tuples and frozensets) because every caller shares them.
+    """
 
     crossings: tuple
 
@@ -117,7 +164,12 @@ class PlanarDiagram:
             raise BadArcMultiplicity(
                 f"arc labels {sorted(bad)} do not appear exactly twice")
         # Tracing below validates closure / orientation consistency.
-        self.orientation()
+        self.orientation
+
+    def __reduce__(self):
+        # Pickle and copy the crossings only; the cached structure holds a
+        # read-only mapping, which does not pickle, and is cheap to rebuild.
+        return PlanarDiagram, (self.crossings,)
 
     # --- structural helpers ---
 
@@ -133,79 +185,49 @@ class PlanarDiagram:
                 occ.setdefault(label, []).append((ci, s))
         return occ
 
+    @cached_property
     def dart_mate(self):
-        """Involution pairing the two darts of every arc."""
-        return _dart_mate(self.crossings)
+        """Involution pairing the two darts of every arc, read-only."""
+        return MappingProxyType(_dart_mate(self.crossings))
 
+    @cached_property
     def orientation(self):
-        """Trace every component, directing each arc.
+        """Every component traced, directing each arc.
 
-        Returns (components, incoming) where components is a list of visit
-        lists [(crossing index, slot entered), ...] in traversal order and
-        incoming is the set of darts at which a strand enters its crossing.
-        The under-strand must enter at slot 0 everywhere; a diagram that
-        cannot be oriented that way is rejected.
+        (components, incoming): components is a tuple of visit tuples
+        ((crossing index, slot entered), ...) in traversal order and
+        incoming is the frozenset of darts at which a strand enters its
+        crossing.  The under-strand must enter at slot 0 everywhere; a
+        diagram that cannot be oriented that way is rejected.
         """
-        if not self.crossings:
-            return [[]], frozenset()
-        mate = self.dart_mate()
-        incoming = set()
-        components = []
-        seen_out = set()
-
-        def trace(start_out):
-            visits = []
-            out = start_out
-            while out not in seen_out:
-                seen_out.add(out)
-                ci, s = mate[out]  # strand arrives here
-                incoming.add((ci, s))
-                visits.append((ci, s))
-                out = (ci, (s + 2) % 4)
-            return visits
-
-        # Components carrying an under-pass are forced: start at a slot-2 dart.
-        for ci in range(self.n):
-            if (ci, 2) not in seen_out:
-                components.append(trace((ci, 2)))
-        # A component that only ever passes over is traced with an arbitrary
-        # (but deterministic) direction.
-        for ci in range(self.n):
-            for s in (1, 3):
-                if (ci, s) not in seen_out and (ci, s) not in incoming:
-                    components.append(trace((ci, s)))
-        for ci, s in incoming:
-            if s == 2:
-                raise Disconnected(
-                    "under-strand enters at slot 2; PD violates the "
-                    "incoming-under convention")
-        return components, frozenset(incoming)
+        return _orientation(self.n, self.dart_mate)
 
     @property
     def component_count(self):
-        return len(self.orientation()[0])
+        return len(self.orientation[0])
 
     def crossing_signs(self):
         """Per-crossing sign: +1 when the over-strand enters at slot 3."""
-        _, incoming = self.orientation()
+        _, incoming = self.orientation
         signs = []
         for ci in range(self.n):
             signs.append(1 if (ci, 3) in incoming else -1)
         return signs
 
+    @cached_property
     def faces(self):
-        """Faces of the induced embedding, as corner lists.
+        """Faces of the induced embedding, as a tuple of corner tuples.
 
         Corner (ci, s) is the region between darts s and s+1 at crossing ci.
         """
         if not self.crossings:
-            return [[(None, 0)], [(None, 1)]]
-        return _faces(self.crossings)
+            return (((None, 0),), ((None, 1),))
+        return _faces(self.n, self.dart_mate)
 
 
 def mirror(d):
     """Switch over and under at every crossing (cyclic order preserved)."""
-    _, incoming = d.orientation()
+    _, incoming = d.orientation
     out = []
     for ci, cr in enumerate(d.crossings):
         s = 1 if (ci, 1) in incoming else 3  # incoming over-dart becomes under-in
@@ -220,7 +242,7 @@ def writhe(d):
 
 def is_alternating(d):
     """True iff every component alternates over/under along its course."""
-    components, _ = d.orientation()
+    components, _ = d.orientation
     for visits in components:
         k = len(visits)
         for i in range(k):
@@ -264,7 +286,7 @@ def from_even_under(crossings):
 # --- DT realization ---
 
 def _dt_crossing_tuples(code, eps, convention):
-    """Crossing tuples for a sense assignment, or None if not planar.
+    """PD crossing tuples for a sense assignment, planar or not.
 
     Geometric slots are S,E,N,W in CCW order; the odd-time passage runs
     S->N, the even-time passage E->W when eps=+1 and W->E when eps=-1.
@@ -282,10 +304,6 @@ def _dt_crossing_tuples(code, eps, convention):
         else:
             g = (arc_in(o), arc_out(e), arc_out(o), arc_in(e))
         geo.append(g)
-
-    # Planarity: V - E + F = 2 needs n + 2 faces of the rotation system.
-    if len(_faces(geo)) != n + 2:
-        return None
 
     # Rotate each tuple to start at the incoming under-strand.
     out = []
@@ -368,11 +386,14 @@ def realize_dt(code, convention="a"):
         raise ValueError(f"unknown DT sign convention {convention!r}")
     if len(code) == 0:
         return PlanarDiagram(())
-    tuples = _dt_crossing_tuples(code, _sense_vector(code), convention)
-    if tuples is None:
+    d = PlanarDiagram(
+        _dt_crossing_tuples(code, _sense_vector(code), convention))
+    # Planarity: V - E + F = 2 needs n + 2 faces.  Rotating a tuple keeps
+    # its cyclic order, so this is the face walk later callers reuse.
+    if len(d.faces) != d.n + 2:
         raise NotRealizable(
             f"DT code {list(code.entries)} admits no planar embedding")
-    return PlanarDiagram(tuples)
+    return d
 
 
 def dt_code(d, convention="a", start=None, reverse=False):
@@ -382,7 +403,7 @@ def dt_code(d, convention="a", start=None, reverse=False):
     (default: the head of the lowest arc label) and runs along the traced
     orientation, or against it when ``reverse`` is set.
     """
-    components, incoming = d.orientation()
+    components, incoming = d.orientation
     if len(components) != 1:
         raise ValueError("DT codes are defined for knots (1 component) only")
     if not d.crossings:
@@ -397,7 +418,7 @@ def dt_code(d, convention="a", start=None, reverse=False):
     if reverse:
         # Traverse against the orientation: same crossings, reversed cyclic
         # order, entering where the forward course exited.
-        order = [order[0]] + order[1:][::-1]
+        order = order[:1] + order[:0:-1]
     times = {}
     for t, (ci, s) in enumerate(order, start=1):
         times.setdefault(ci, []).append((t, s))
@@ -413,7 +434,7 @@ def dt_code(d, convention="a", start=None, reverse=False):
 
 def all_dt_codes(d, convention="a"):
     """Every DT code of a knot diagram over all traversal starts/directions."""
-    components, incoming = d.orientation()
+    components, incoming = d.orientation
     codes = set()
     for dart in components[0]:
         for reverse in (False, True):

@@ -107,5 +107,9 @@ class UnknownFormat(KnotfoldError):
     pass
 
 
+class DuplicateId(KnotfoldError):
+    """A dataset record reuses the id of an earlier record."""
+
+
 class BadEnvironment(KnotfoldError):
     pass

@@ -38,6 +38,18 @@ class LaurentPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPolynomial is immutable")
 
+    @classmethod
+    def _trusted(cls, terms, var):
+        """Adopt ``terms`` without validating it.
+
+        Only for dicts the package builds itself: int exponents, nonzero
+        int coefficients, and no other reference to the dict kept.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "var", var)
+        return p
+
     # --- constructors ---
 
     @classmethod
@@ -77,12 +89,6 @@ class LaurentPolynomial:
 
     def max_exp4(self):
         return max(self.terms)
-
-    def degree_span(self):
-        """max exponent - min exponent, in quarter units; 0 for constants and zero."""
-        if not self.terms:
-            return 0
-        return max(self.terms) - min(self.terms)
 
     def coefficient(self, exponent):
         """Coefficient of var**exponent (integer exponent)."""
@@ -186,8 +192,8 @@ class LaurentPolynomial:
                     rem[k] = s
                 else:
                     rem.pop(k, None)
-        return LaurentPolynomial({e + shift: c for e, c in quot.items()},
-                                 self.var)
+        return LaurentPolynomial._trusted(
+            {e + shift: c for e, c in quot.items()}, self.var)
 
     def __eq__(self, other):
         return (isinstance(other, LaurentPolynomial)

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 from .bracket import jones
 from .cloud import KnotRecord, canonical_orientation
 from .diagrams import is_alternating, parse_dt, parse_pd, realize_dt
-from .errors import BadEnvironment, KnotfoldError, Unreadable, UnknownFormat
+from .errors import (
+    BadEnvironment,
+    DuplicateId,
+    KnotfoldError,
+    Unreadable,
+    UnknownFormat,
+)
 from .families import (
     double_twist_members,
     jones_double_twist,
@@ -95,12 +101,17 @@ def _parse_line(line, lineno):
 
 
 def ingest(paths, format="dt", convention="a"):
-    """Parse dataset files, quarantining malformed lines with line numbers."""
+    """Parse dataset files, quarantining malformed lines with line numbers.
+
+    A record id is a cache key, so a line reusing the id of an earlier
+    record, in the same file or an earlier one, is quarantined too.
+    """
     if format not in FORMATS:
         raise UnknownFormat(f"unknown dataset format {format!r}")
     digest = hashlib.sha256()
     records = []
     rejects = []
+    first_seen = {}  # record id -> (path, lineno) of the record kept
     for path in paths:
         try:
             with open(path, "rb") as fh:
@@ -122,9 +133,13 @@ def ingest(paths, format="dt", convention="a"):
                     parse_dt(rec.payload)
                 else:
                     parse_pd(rec.payload)
+                if rec.id in first_seen:
+                    raise DuplicateId("id {!r} already used at {}:{}".format(
+                        rec.id, *first_seen[rec.id]))
             except (KnotfoldError, ValueError) as exc:
                 rejects.append((path, lineno, f"{type(exc).__name__}: {exc}"))
                 continue
+            first_seen[rec.id] = (path, lineno)
             records.append(rec)
     return Dataset(tuple(paths), format, digest.hexdigest(),
                    tuple(records), tuple(rejects))

@@ -5,12 +5,13 @@ matrix; its signature plus a per-crossing correction term yields the link
 signature (Gordon-Litherland).  The sign convention is the one under which
 positive knots have positive signature (the trefoil with all-positive
 crossings gets +2), so that mirror selection by positive signature and by
-positive extreme Jones degree agree on chiral knots.
+positive extreme Jones degree agree on chiral knots.  The Goeritz
+signature comes from fraction-free integer elimination.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 from .errors import Unsupported
 
@@ -22,7 +23,7 @@ def _white_graph(d):
     color; corners (0, 2) define a sign +1 edge and corners (1, 3) a sign
     -1 edge.  Returns (edges, faces) with edges as (i, j, edge_sign, ci).
     """
-    faces = d.faces()
+    faces = d.faces
     face_of = {}
     for fi, face in enumerate(faces):
         for corner in face:
@@ -66,43 +67,48 @@ def _goeritz(vertices, edges):
 
 
 def _sym_signature(m):
-    """Signature of an integer symmetric matrix by congruence reduction."""
-    n = len(m)
-    w = [[Fraction(x) for x in row] for row in m]
-    pos = neg = 0
-    for k in range(n):
-        if w[k][k] == 0:
-            pivot = next((j for j in range(k + 1, n) if w[j][j] != 0), None)
+    """Signature of an integer symmetric matrix by congruence reduction.
+
+    Fraction-free: with pivot d and the column c below it, the trailing
+    block S becomes sign(d) (d S - c c^T), then is divided by the gcd of
+    its entries.  That is |d| (S - c c^T / d) scaled by a positive
+    number, so neither step changes the inertia (Sylvester's law), and
+    every entry stays an exact int.
+    """
+    w = [list(row) for row in m]
+    sig = 0
+    while w:
+        n = len(w)
+        if w[0][0] == 0:
+            pivot = next((j for j in range(1, n) if w[j][j]), None)
             if pivot is not None:
-                w[k], w[pivot] = w[pivot], w[k]
+                w[0], w[pivot] = w[pivot], w[0]
                 for row in w:
-                    row[k], row[pivot] = row[pivot], row[k]
+                    row[0], row[pivot] = row[pivot], row[0]
             else:
-                other = next((j for j in range(k + 1, n) if w[k][j] != 0), None)
-                if other is None:
-                    continue  # zero row/column: null direction
-                for j in range(n):
-                    w[k][j] += w[other][j]
+                other = next((j for j in range(1, n) if w[0][j]), None)
+                if other is None:  # zero row/column: null direction
+                    w = [row[1:] for row in w[1:]]
+                    continue
+                w[0] = [x + y for x, y in zip(w[0], w[other])]
                 for row in w:
-                    row[k] += row[other]
-        d = w[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            f = w[i][k] / d
-            if f:
-                for j in range(k, n):
-                    w[i][j] -= f * w[k][j]
-                for row in w:
-                    row[i] -= f * row[k]
-    return pos - neg
+                    row[0] += row[other]
+        d = w[0][0]
+        sign = 1 if d > 0 else -1
+        sig += sign
+        c = [row[0] for row in w[1:]]
+        block = [[sign * (d * x - ci * cj) for x, cj in zip(row[1:], c)]
+                 for row, ci in zip(w[1:], c)]
+        g = gcd(*(x for row in block for x in row))
+        if g > 1:
+            block = [[x // g for x in row] for row in block]
+        w = block
+    return sig
 
 
 def signature_from_diagram(d):
     """Signature of the knot presented by a 1-component diagram."""
-    components, _ = d.orientation()
+    components, _ = d.orientation
     if len(components) != 1:
         raise Unsupported("signature is computed for knots (1 component) only")
     if d.n == 0:

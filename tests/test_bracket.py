@@ -11,10 +11,12 @@ from knotfold.bracket import (
 from knotfold.diagrams import (
     DT_CONVENTIONS,
     DTSequence,
+    PlanarDiagram,
     mirror,
     parse_dt,
     parse_pd,
     realize_dt,
+    writhe,
 )
 from knotfold.errors import CapExceeded, NotRealizable, SweepNotClosed
 from knotfold.families import torus_diagram
@@ -97,6 +99,57 @@ class TestEvaluatorEquivalence:
             for e in (d, mirror(d)):
                 assert kauffman_bracket(e, "statesum") == \
                     kauffman_bracket(e, "sweep"), code.entries
+
+
+def split_union(pieces):
+    """PD diagram of the split union of PD diagrams: labels are shifted
+    so no two pieces share one."""
+    crossings, shift = [], 0
+    for d in pieces:
+        crossings += [tuple(lab + shift for lab in cr) for cr in d.crossings]
+        shift += max(lab for cr in d.crossings for lab in cr)
+    return PlanarDiagram(tuple(crossings))
+
+
+KINK = parse_pd("X(1,1,2,2)")  # bracket -A^3
+
+
+class TestSweepWidthEdge:
+    """The packed sweep weights at the edge of their widths: a kink closes
+    the most loops its crossing can, and negative kinks push exponents to
+    the -5n end of the window."""
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_kink_chains(self, sign):
+        # one strand with k kinks: <D> = (-A^3)^w, w = sign * k
+        for k in range(1, 21):
+            d = realize_dt(DTSequence(tuple(sign * e
+                                            for e in range(2, 2 * k + 1, 2))))
+            assert writhe(d) == sign * k
+            assert kauffman_bracket(d, "sweep") == \
+                LaurentPolynomial.monomial((-1) ** k, 3 * sign * k, "A"), k
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_split_kinks(self, sign):
+        # k disjoint kinks: <D> = (-A^(3 sign))^k delta^(k-1)
+        delta = bracket._delta()
+        piece = KINK if sign > 0 else mirror(KINK)
+        want = LaurentPolynomial.monomial(-1, 3 * sign, "A")
+        for k in range(1, 21):
+            d = split_union([piece] * k)
+            assert kauffman_bracket(d, "sweep") == want, k
+            want = want * delta * LaurentPolynomial.monomial(-1, 3 * sign, "A")
+
+    def test_split_mixed_against_statesum(self):
+        pieces = [KINK, mirror(KINK), parse_pd("X(1,4,2,3) X(3,2,4,1)"),
+                  realize_dt(parse_dt("4 6 2")),
+                  mirror(realize_dt(parse_dt("4 6 8 2")))]
+        for a in pieces:
+            for b in pieces:
+                for c in (KINK, mirror(KINK)):
+                    d = split_union([a, b, c, a])
+                    assert kauffman_bracket(d, "statesum") == \
+                        kauffman_bracket(d, "sweep"), d.crossings
 
 
 class TestJones:

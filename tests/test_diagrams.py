@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -82,6 +84,12 @@ class TestPDValidation:
         d = parse_pd(text)
         assert serialize_pd(d) == text
 
+    def test_pickle_and_copy(self):
+        d = realize_dt(parse_dt("4 8 10 2 12 6"))
+        for e in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+            assert e == d and e.faces == d.faces
+            assert e.orientation == d.orientation
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(BadArcMultiplicity):
             parse_pd("X(1,3,2,4) junk X(3,1,4,2)")
@@ -103,7 +111,7 @@ class TestRealization:
         d = realize_dt(parse_dt("4 6 2"))
         assert writhe(d) in (3, -3)
         assert is_alternating(d)
-        assert len(d.faces()) == d.n + 2
+        assert len(d.faces) == d.n + 2
 
     def test_realization_deterministic(self):
         a = realize_dt(parse_dt("4 6 8 2"))
@@ -137,13 +145,20 @@ class TestRealization:
                     continue
                 try:
                     d = realize_dt(seq)
-                    assert len(d.faces()) == d.n + 2
+                    assert len(d.faces) == d.n + 2
                 except NotRealizable:
                     # oracle: exhaustively confirm no sense assignment works
                     for mask in range(4):
                         eps = [1, 1 if mask & 1 == 0 else -1,
                                1 if mask & 2 == 0 else -1]
-                        assert _dt_crossing_tuples(seq, eps, "a") is None
+                        assert not _planar(seq, eps)
+
+
+def _planar(code, eps):
+    """Oracle: whether the senses ``eps`` embed the code in the plane, by
+    the Euler face count of its rotation system."""
+    d = PlanarDiagram(_dt_crossing_tuples(code, eps, "a"))
+    return len(d.faces) == d.n + 2
 
 
 def _search_senses(code):
@@ -157,7 +172,7 @@ def _search_senses(code):
     n = len(code)
     for mask in range(1 << (n - 1)):
         eps = [1] + [1 if (mask >> k) & 1 == 0 else -1 for k in range(n - 1)]
-        if _dt_crossing_tuples(code, eps, "a") is not None:
+        if _planar(code, eps):
             return eps
     return None
 

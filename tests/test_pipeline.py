@@ -78,6 +78,20 @@ class TestIngest:
         assert [(lineno, reason.split(":")[0])
                 for _, lineno, reason in ds.rejects] == [(2, "UnknownFormat")]
 
+    def test_repeated_id_is_quarantined(self, tmp_path):
+        # two records under one id would share one cache key
+        a, b = tmp_path / "a.dt", tmp_path / "b.dt"
+        a.write_text("3_1;3;4 6 2\n3_1;4;4 6 8 2\n4_1;4;4 6 8 2\n")
+        b.write_text("4_1;4;4 8 6 2\nnew;3;4 6 2\n")
+        ds = ingest([str(a), str(b)])
+        assert [(r.id, r.lineno) for r in ds.records] == [
+            ("3_1", 1), ("4_1", 3), ("new", 2)]
+        assert ds.rejects == (
+            (str(a), 2, f"DuplicateId: id '3_1' already used at {a}:1"),
+            (str(b), 1, f"DuplicateId: id '4_1' already used at {a}:3"))
+        records, _ = compute_batch(ds, InvariantCache(None), workers=1)
+        assert records[0].jones.to_text() == TABLE_POLYS["3_1"]
+
     def test_blank_and_comment_lines_skipped(self, tmp_path):
         p = tmp_path / "c.dt"
         p.write_text("# header\n\nk;3;4 6 2\n")
@@ -188,6 +202,30 @@ class TestComputeBatch:
         records, _ = compute_batch(ds, InvariantCache(None), workers=1)
         # the supplied sigma = -2 forces a mirror during canonicalization
         assert records[0].sigma == 2 and records[0].mirror_applied
+
+
+class TestComputeOne:
+    def test_one_walk_per_diagram(self, monkeypatch):
+        """A record traces its diagram's dart mate, orientation and faces
+        once; realization, bracket, writhe, signature and the alternation
+        check share them."""
+        from knotfold import diagrams
+        from knotfold.families import double_twist_diagram
+        from knotfold.pipeline import _compute_one
+
+        code = min(diagrams.all_dt_codes(double_twist_diagram(6, 9)))
+        assert len(code) == 15
+        calls = {}
+        for name in ("_dart_mate", "_orientation", "_faces"):
+            def counted(*args, _name=name, _fn=getattr(diagrams, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(diagrams, name, counted)
+        payload = " ".join(map(str, code))
+        _, line, error = _compute_one(
+            (0, "k", "dt", payload, "a", {}, "digest"))
+        assert error is None and line.startswith("k;digest;")
+        assert calls == {"_dart_mate": 1, "_orientation": 1, "_faces": 1}
 
 
 class TestDefaultWorkers:

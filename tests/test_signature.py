@@ -1,9 +1,70 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from knotfold.diagrams import mirror, parse_dt, parse_pd, realize_dt
 from knotfold.errors import Unsupported
 from knotfold.families import double_twist_diagram, torus_diagram
 from knotfold.signature import _sym_signature, signature_from_diagram
+
+
+def fraction_signature(m):
+    """Oracle: congruence reduction over the rationals."""
+    n = len(m)
+    w = [[Fraction(x) for x in row] for row in m]
+    pos = neg = 0
+    for k in range(n):
+        if w[k][k] == 0:
+            pivot = next((j for j in range(k + 1, n) if w[j][j] != 0), None)
+            if pivot is not None:
+                w[k], w[pivot] = w[pivot], w[k]
+                for row in w:
+                    row[k], row[pivot] = row[pivot], row[k]
+            else:
+                other = next((j for j in range(k + 1, n) if w[k][j] != 0), None)
+                if other is None:
+                    continue  # zero row/column: null direction
+                for j in range(n):
+                    w[k][j] += w[other][j]
+                for row in w:
+                    row[k] += row[other]
+        d = w[k][k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            f = w[i][k] / d
+            if f:
+                for j in range(k, n):
+                    w[i][j] -= f * w[k][j]
+                for row in w:
+                    row[i] -= f * row[k]
+    return pos - neg
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices of size 0-10.  Some have a zero
+    diagonal, so the reduction must pivot on an off-diagonal entry, and
+    some repeat a row and column, so they are singular."""
+    n = draw(st.integers(0, 10))
+    entries = st.integers(-4, 4)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(entries)
+    if n and draw(st.booleans()):
+        for i in range(n):
+            m[i][i] = 0
+    if n >= 2 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(n)))[:2]
+        for i in range(n):
+            m[dst][i] = m[src][i]
+        for i in range(n):
+            m[i][dst] = m[i][src]
+    return m
 
 
 def seifert_signature(v):
@@ -23,6 +84,15 @@ class TestSymSignature:
 
     def test_empty(self):
         assert _sym_signature([]) == 0
+
+    @given(symmetric_matrices())
+    @example([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+    @example([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    @example([[0, 2, -1, 0], [2, 0, 3, 1], [-1, 3, 0, 0], [0, 1, 0, 0]])
+    @example([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    @settings(derandomize=True, deadline=None)
+    def test_matches_fraction_oracle(self, m):
+        assert _sym_signature(m) == fraction_signature(m)
 
 
 class TestSignature:
