@@ -96,15 +96,16 @@ def generate_cmd(family, max_crossings, cache):
 
 
 def _load_records(cache_path, paths, fmt, convention, family, max_crossings):
-    store = InvariantCache(cache_path)  # path None -> in-memory only
     if family:
         if max_crossings is None:
             raise click.UsageError("--family needs --max-crossings")
+        # recomputing from the closed forms is cheaper than reading back
         digest, records = generate_family(family.replace("-", "_"),
-                                          max_crossings, store)
+                                          max_crossings)
         return records, [digest]
     if not paths:
         raise click.UsageError("need dataset paths or --family")
+    store = InvariantCache(cache_path)  # path None -> in-memory only
     workers = _default_workers()
     ds = ingest(paths, fmt, convention)
     records, _ = compute_batch(ds, store, workers, convention,
@@ -120,7 +121,9 @@ def _load_records(cache_path, paths, fmt, convention, family, max_crossings):
               default="a", show_default=True)
 @click.option("--family", type=click.Choice(["torus", "double-twist"]))
 @click.option("--max-crossings", type=click.IntRange(min=3), default=None)
-@click.option("--cache", type=click.Path(), default=None)
+@click.option("--cache", type=click.Path(), default=None,
+              help="invariant cache for dataset runs; --family runs "
+                   "recompute from the closed forms and leave it untouched")
 @click.option("--filtration", type=click.Choice(["crossing", "norm"]),
               default="crossing", show_default=True)
 @click.option("--class", "class_filter",

@@ -115,21 +115,46 @@ class AlignedCloud:
     def width(self):
         return self.max_degree - self.min_degree + 1
 
+    def subcloud(self, rows, min_degree, max_degree):
+        """The given rows, in order, cut to [min_degree, max_degree].
+
+        The window must lie inside this cloud's, and every row must be zero
+        outside it; the result then equals aligning those rows alone into
+        that window.  The norms are this cloud's: a row's float sum of
+        squares is exact, whatever the zero padding, while it stays below
+        2^53.
+        """
+        start = min_degree - self.min_degree
+        matrix = self.matrix[rows, start:start + max_degree - min_degree + 1]
+        return AlignedCloud(
+            row_ids=tuple(self.row_ids[j] for j in rows),
+            matrix=matrix,
+            q0_column=-min_degree,
+            min_degree=min_degree,
+            max_degree=max_degree,
+            norms=self.norms[rows],
+            class_flags=tuple(self.class_flags[j] for j in rows),
+            sigma_values=tuple(self.sigma_values[j] for j in rows),
+        )
+
 
 def align(family):
     """Pad a family of (id, CoefficientVector, metadata) into a cloud.
 
     Metadata is a mapping; keys ``alternating`` and ``sigma`` are carried
-    through per row when present.
+    through per row when present.  Each row is written into one
+    preallocated int64 matrix; numpy raises OverflowError for any
+    coefficient outside int64.
     """
     family = list(family)
     if not family:
         raise EmptyFamily("cannot align an empty family")
     lo = min(cv.min_degree for _, cv, _ in family)
     hi = max(cv.max_degree for _, cv, _ in family)
-    rows = [embed(cv, lo, hi) for _, cv, _ in family]
-    # numpy raises OverflowError for any coefficient outside int64
-    matrix = np.array(rows, dtype=np.int64)
+    matrix = np.zeros((len(family), hi - lo + 1), dtype=np.int64)
+    for row, (_, cv, _) in zip(matrix, family):
+        start = cv.min_degree - lo
+        row[start:start + len(cv.coefficients)] = cv.coefficients
     return AlignedCloud(
         row_ids=tuple(rid for rid, _, _ in family),
         matrix=matrix,

@@ -1,8 +1,9 @@
 """Closed-form Jones generators for torus and double twist families.
 
-Torus knots use the classical closed form with an exact synthetic division.
-Double twist knots C(m, n) take their writhe and Kauffman bracket from
-closed forms in m, n and their parities, at O(m + n) integer operations
+Torus knots use the classical closed form, whose exact division by
+1 - q^2 is a stride-2 prefix sum.  Double twist knots C(m, n) take their
+writhe and Kauffman bracket from closed forms in m, n and their parities.
+Both build their q-exponent dicts directly, at O(m + n) integer operations
 per member.  The diagram builders (torus_diagram, double_twist_diagram) are
 test oracles for these closed forms; no production path calls them.
 """
@@ -11,9 +12,8 @@ from __future__ import annotations
 
 from math import gcd
 
-from .bracket import bracket_to_jones
 from .diagrams import PlanarDiagram, from_even_under
-from .errors import NotAKnot
+from .errors import InexactDivision, NotAKnot
 from .laurent import QUARTER, LaurentPolynomial
 
 
@@ -25,18 +25,29 @@ def torus_crossing_number(m, n):
 def jones_torus(m, n):
     """Jones polynomial of the (m,n) torus knot.
 
-    J = q^((m-1)(n-1)/2) (1 - q^(m+1) - q^(n+1) + q^(m+n)) / (1 - q^2),
-    with the division required to be exact.
+    J = q^((m-1)(n-1)/2) (1 - q^(m+1) - q^(n+1) + q^(m+n)) / (1 - q^2).
+    The quotient of P / (1 - q^2) is the stride-2 prefix sum
+    Q_k = P_k + Q_(k-2); the division is exact iff the two sums past the
+    quotient's degree m + n - 2 vanish, and InexactDivision is raised
+    otherwise.
     """
     if m < 2 or n < 2:
         raise NotAKnot(f"torus parameters must be >= 2, got ({m}, {n})")
     if gcd(m, n) != 1:
         raise NotAKnot(f"T({m},{n}) is a link, not a knot (gcd > 1)")
-    num = LaurentPolynomial({0: 1, 4 * (m + 1): -1, 4 * (n + 1): -1,
-                             4 * (m + n): 1}, "q")
-    den = LaurentPolynomial({0: 1, 8: -1}, "q")
-    quot = num.exact_div(den)
-    return quot.shift4(2 * (m - 1) * (n - 1))
+    top = m + n
+    quot = [0] * (top + 1)
+    quot[0] = quot[top] = 1
+    quot[m + 1] -= 1
+    quot[n + 1] -= 1
+    for k in range(2, top + 1):
+        quot[k] += quot[k - 2]
+    if quot[top - 1] or quot[top]:
+        raise InexactDivision(f"T({m},{n}) numerator not divisible by 1 - q^2")
+    shift = 2 * (m - 1) * (n - 1)  # q^((m-1)(n-1)/2) in quarter units
+    return LaurentPolynomial._trusted(
+        {shift + QUARTER * k: c for k, c in enumerate(quot[:top - 1]) if c},
+        "q")
 
 
 def torus_members(max_crossings):
@@ -164,22 +175,33 @@ def double_twist_members(max_crossings):
     return sorted(out, key=lambda mn: (mn[0] + mn[1], mn))
 
 
-def double_twist_bracket(m, n):
-    """Kauffman bracket of double_twist_diagram(m, n), in closed form.
+def _double_twist_coeffs(m, n):
+    """Bracket coefficients of double_twist_diagram(m, n) on A^(4i - 3m - n).
 
     The regions unroll to A^m [h] + b [v] and c [h] + A^-n [v], with b and c
     alternating series in A^4, and the delta = -A^2 - A^-2 products of the
-    closure telescope.  Every term lies on A^(-3m-n+4i), i = 0..m+n, with
-    coefficient (-1)^(m+i) min(m, n, i, m+n-i), plus (-1)^m at i = 0, plus
-    (-1)^n at i = m+n, minus 1 at i = m.  Only the tests build the diagram.
+    closure telescope.  Entry i, i = 0..m+n, is (-1)^(m+i) min(m, n, i,
+    m+n-i), plus (-1)^m at i = 0, plus (-1)^n at i = m+n, minus 1 at i = m.
+    Entries may be zero.
     """
-    coeffs = [min(m, n, i, m + n - i) * (-1 if (m + i) % 2 else 1)
-              for i in range(m + n + 1)]
+    k = min(m, n)  # min(m, n, i, m+n-i) ramps up to k, stays, ramps down
+    coeffs = [*range(k), *[k] * (m + n + 1 - 2 * k), *range(k - 1, -1, -1)]
+    coeffs[1 - m % 2::2] = [-c for c in coeffs[1 - m % 2::2]]  # m + i odd
     coeffs[0] += -1 if m % 2 else 1
     coeffs[m + n] += -1 if n % 2 else 1
     coeffs[m] -= 1
-    return LaurentPolynomial({QUARTER * (4 * i - 3 * m - n): c
-                              for i, c in enumerate(coeffs)}, "A")
+    return coeffs
+
+
+def double_twist_bracket(m, n):
+    """Kauffman bracket of double_twist_diagram(m, n), in closed form.
+
+    See _double_twist_coeffs for the formula.  Only the tests build the
+    diagram.
+    """
+    return LaurentPolynomial._trusted(
+        {QUARTER * (4 * i - 3 * m - n): c
+         for i, c in enumerate(_double_twist_coeffs(m, n)) if c}, "A")
 
 
 def double_twist_writhe(m, n):
@@ -197,7 +219,17 @@ def double_twist_writhe(m, n):
 
 
 def jones_double_twist(m, n):
-    """Jones polynomial of the positive double twist knot C(m, n)."""
+    """Jones polynomial of the positive double twist knot C(m, n).
+
+    bracket_to_jones of the closed-form bracket and writhe, written out:
+    (-A^3)^(-w) <D> with q = A^-4 puts bracket entry i on the stored
+    q-exponent 3w + 3m + n - 4i with sign (-1)^w.
+    """
     if m < 0 or n < 0:
         raise ValueError("twist parameters must be nonnegative")
-    return bracket_to_jones(double_twist_bracket(m, n), double_twist_writhe(m, n))
+    w = double_twist_writhe(m, n)
+    sign = -1 if w % 2 else 1
+    top = 3 * w + 3 * m + n
+    return LaurentPolynomial._trusted(
+        {top - 4 * i: sign * c
+         for i, c in enumerate(_double_twist_coeffs(m, n)) if c}, "q")

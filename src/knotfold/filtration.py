@@ -48,24 +48,38 @@ class FiltrationStep:
 def crossing_filtration(records, k_min, k_max, class_filter="all"):
     """Nested clouds of records with crossing number <= k, k = k_min..k_max.
 
-    Each step is aligned independently; empty steps are reported with a
-    None cloud rather than raised.
+    The records with crossing number <= k_max that pass the class filter
+    are aligned once, sorted by id.  Each step then takes the subset of
+    those rows with crossing number <= k and the column slice of the
+    degree window spanned by their coefficient vectors, so it equals
+    aligning that step alone.  Empty steps are reported with a None cloud
+    rather than raised.
     """
     if k_min > k_max:
         raise ValueError(f"k_min {k_min} exceeds k_max {k_max}")
+    chosen = sorted((r for r in records
+                     if r.crossing_number <= k_max
+                     and _class_match(r.alternating, class_filter)),
+                    key=lambda r: r.id)
+    if not chosen:
+        return [FiltrationStep(str(k), None) for k in range(k_min, k_max + 1)]
+    vectors = [coeff_vector(r.jones) for r in chosen]
+    cloud = align((r.id, cv, {"alternating": r.alternating, "sigma": r.sigma})
+                  for r, cv in zip(chosen, vectors))
+    crossings = np.array([r.crossing_number for r in chosen])
+    lows = np.array([cv.min_degree for cv in vectors])
+    highs = np.array([cv.max_degree for cv in vectors])
     steps = []
     for k in range(k_min, k_max + 1):
-        chosen = [r for r in records
-                  if r.crossing_number <= k
-                  and _class_match(r.alternating, class_filter)]
-        chosen.sort(key=lambda r: r.id)
-        if not chosen:
+        rows = np.flatnonzero(crossings <= k)
+        if len(rows) == len(chosen):
+            steps.append(FiltrationStep(str(k), cloud))
+        elif len(rows):
+            sub = cloud.subcloud(rows, int(lows[rows].min()),
+                                 int(highs[rows].max()))
+            steps.append(FiltrationStep(str(k), sub))
+        else:
             steps.append(FiltrationStep(str(k), None))
-            continue
-        fam = [(r.id, coeff_vector(r.jones),
-                {"alternating": r.alternating, "sigma": r.sigma})
-               for r in chosen]
-        steps.append(FiltrationStep(str(k), align(fam)))
     return steps
 
 
@@ -83,17 +97,8 @@ def norm_filtration(cloud, levels):
     steps = []
     for i in range(levels - 1, -1, -1):
         take = -(-n // (1 << i))  # ceil
-        rows = sorted(order[:take])
-        sub = AlignedCloud(
-            row_ids=tuple(cloud.row_ids[j] for j in rows),
-            matrix=cloud.matrix[rows],
-            q0_column=cloud.q0_column,
-            min_degree=cloud.min_degree,
-            max_degree=cloud.max_degree,
-            norms=cloud.norms[rows],
-            class_flags=tuple(cloud.class_flags[j] for j in rows),
-            sigma_values=tuple(cloud.sigma_values[j] for j in rows),
-        )
+        sub = cloud.subcloud(sorted(order[:take]), cloud.min_degree,
+                             cloud.max_degree)
         steps.append(FiltrationStep(f"r_{i}", sub,
                                     radius=float(sub.norms.max())))
     return steps

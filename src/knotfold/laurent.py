@@ -106,9 +106,11 @@ class LaurentPolynomial:
             return 0, [0]
         if not self.is_integral():
             raise HalfIntegerExponent(f"non-integer exponent in {self}")
-        lo = min(self.terms) // QUARTER
-        hi = max(self.terms) // QUARTER
-        return lo, [self.terms.get(QUARTER * e, 0) for e in range(lo, hi + 1)]
+        lo = min(self.terms)
+        dense = [0] * ((max(self.terms) - lo) // QUARTER + 1)
+        for e, c in self.terms.items():
+            dense[(e - lo) // QUARTER] = c
+        return lo // QUARTER, dense
 
     # --- arithmetic ---
 
@@ -160,7 +162,8 @@ class LaurentPolynomial:
 
     def substitute_inverse(self):
         """var -> 1/var: negate every exponent."""
-        return LaurentPolynomial({-e: c for e, c in self.terms.items()}, self.var)
+        return LaurentPolynomial._trusted(
+            {-e: c for e, c in self.terms.items()}, self.var)
 
     def exact_div(self, divisor):
         """Exact synthetic division; raises InexactDivision on any remainder."""

@@ -1,9 +1,9 @@
 import pytest
 
 from knotfold import diagrams, families
-from knotfold.bracket import jones, kauffman_bracket
+from knotfold.bracket import bracket_to_jones, jones, kauffman_bracket
 from knotfold.diagrams import is_alternating, writhe
-from knotfold.errors import NotAKnot
+from knotfold.errors import InexactDivision, NotAKnot
 from knotfold.families import (
     double_twist_bracket,
     double_twist_diagram,
@@ -18,6 +18,15 @@ from knotfold.families import (
 )
 from knotfold.laurent import LaurentPolynomial
 from knotfold.pipeline import generate_family
+
+
+def torus_oracle(m, n):
+    """The classical closed form through validated polynomial arithmetic:
+    q^((m-1)(n-1)/2) (1 - q^(m+1) - q^(n+1) + q^(m+n)) / (1 - q^2)."""
+    num = LaurentPolynomial({0: 1, 4 * (m + 1): -1, 4 * (n + 1): -1,
+                             4 * (m + n): 1}, "q")
+    den = LaurentPolynomial({0: 1, 8: -1}, "q")
+    return num.exact_div(den).shift4(2 * (m - 1) * (n - 1))
 
 
 class TestTorusClosedForm:
@@ -48,6 +57,19 @@ class TestTorusClosedForm:
     def test_integral_exponents(self):
         for m, n in ((2, 3), (3, 4), (3, 5), (4, 5)):
             assert jones_torus(m, n).is_integral()
+
+    def test_matches_division_oracle_up_to_300(self):
+        """The prefix-sum quotient equals exact_div for every member of
+        torus_members(300); dict equality also rules out stored zeros."""
+        for m, n in torus_members(300):
+            assert jones_torus(m, n).terms == torus_oracle(m, n).terms, (m, n)
+
+    def test_remainder_raises(self, monkeypatch):
+        """(1 - q^3 - q^5 + q^6) / (1 - q^2) leaves a remainder: with the
+        coprimality check bypassed, T(2,4) must not divide silently."""
+        monkeypatch.setattr(families, "gcd", lambda m, n: 1)
+        with pytest.raises(InexactDivision):
+            jones_torus(2, 4)
 
 
 class TestTorusFamily:
@@ -127,6 +149,30 @@ class TestDoubleTwist:
                 assert double_twist_writhe(m, n) == writhe(d), (m, n)
                 assert double_twist_bracket(m, n) == \
                     kauffman_bracket(d, "sweep"), (m, n)
+
+    def test_jones_matches_bracket_oracle_up_to_91(self):
+        """The reindexed bracket list equals bracket_to_jones of the closed
+        bracket and writhe for every 0 <= m + n <= 91, links included."""
+        for total in range(92):
+            for m in range(total + 1):
+                n = total - m
+                want = bracket_to_jones(double_twist_bracket(m, n),
+                                        double_twist_writhe(m, n))
+                assert jones_double_twist(m, n).terms == want.terms, (m, n)
+
+    def test_generation_builds_no_polynomial_by_validation(self, monkeypatch):
+        """Family records come from dicts the closed forms build directly:
+        no member goes through the validating LaurentPolynomial
+        constructor, for either family."""
+        expected = [generate_family("double_twist", 40),
+                    generate_family("torus", 60)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("validating constructor on the family path")
+
+        monkeypatch.setattr(LaurentPolynomial, "__init__", refuse)
+        assert [generate_family("double_twist", 40),
+                generate_family("torus", 60)] == expected
 
     def test_generation_builds_no_diagram(self, monkeypatch):
         """The family generator runs on the closed forms alone; the diagram

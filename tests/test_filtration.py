@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from knotfold import filtration
 from knotfold.cloud import AlignedCloud, KnotRecord, align, coeff_vector
 from knotfold.errors import WindowOverflow
 from knotfold.filtration import (
+    CLASS_FILTERS,
     FiltrationStep,
+    _class_match,
     angle_trajectory,
     crossing_filtration,
     eigensystem_trajectory,
@@ -18,8 +21,10 @@ from knotfold.filtration import (
     step_spectrum,
 )
 from knotfold.laurent import LaurentPolynomial
+from knotfold.pipeline import (InvariantCache, compute_batch, generate_family,
+                               ingest)
 
-from conftest import TABLE_CROSSINGS, TABLE_POLYS
+from conftest import FIXTURE_FILE, TABLE_CROSSINGS, TABLE_POLYS
 
 
 def fixture_records():
@@ -49,6 +54,77 @@ def make_cloud(matrix):
         class_flags=(True,) * n,
         sigma_values=(None,) * n,
     )
+
+
+def per_step_filtration(records, k_min, k_max, class_filter="all"):
+    """Oracle: every step selected, sorted and aligned on its own."""
+    steps = []
+    for k in range(k_min, k_max + 1):
+        chosen = [r for r in records
+                  if r.crossing_number <= k
+                  and _class_match(r.alternating, class_filter)]
+        chosen.sort(key=lambda r: r.id)
+        if not chosen:
+            steps.append(FiltrationStep(str(k), None))
+            continue
+        fam = [(r.id, coeff_vector(r.jones),
+                {"alternating": r.alternating, "sigma": r.sigma})
+               for r in chosen]
+        steps.append(FiltrationStep(str(k), align(fam)))
+    return steps
+
+
+def assert_same_steps(got, want):
+    assert [s.label for s in got] == [s.label for s in want]
+    for g, w in zip(got, want):
+        assert g.empty == w.empty, g.label
+        if w.empty:
+            continue
+        a, b = g.cloud, w.cloud
+        assert a.matrix.dtype == b.matrix.dtype, g.label
+        assert a.matrix.shape == b.matrix.shape, g.label
+        assert a.matrix.tobytes() == b.matrix.tobytes(), g.label
+        assert (a.min_degree, a.max_degree, a.q0_column) == \
+            (b.min_degree, b.max_degree, b.q0_column), g.label
+        assert a.row_ids == b.row_ids, g.label
+        assert a.norms.tobytes() == b.norms.tobytes(), g.label
+        assert a.class_flags == b.class_flags, g.label
+        assert a.sigma_values == b.sigma_values, g.label
+
+
+class TestCrossingFiltrationMatchesPerStep:
+    """One alignment cut per step equals aligning every step alone."""
+
+    def test_fixture_dataset_all_classes(self):
+        ds = ingest([FIXTURE_FILE])
+        records, _ = compute_batch(ds, InvariantCache(None), workers=1)
+        for cls in CLASS_FILTERS:
+            assert_same_steps(crossing_filtration(records, -1, 6, cls),
+                              per_step_filtration(records, -1, 6, cls))
+
+    def test_double_twist_family(self):
+        _, records = generate_family("double_twist", 40)
+        assert_same_steps(crossing_filtration(records, 10, 40),
+                          per_step_filtration(records, 10, 40))
+
+    def test_constant_jones(self):
+        """Constant polynomials have the one-column window [0, 0]."""
+        records = [KnotRecord("c", 2, LaurentPolynomial.one("q"),
+                              alternating=False, sigma=0)]
+        records += fixture_records()
+        assert_same_steps(crossing_filtration(records, 0, 6),
+                          per_step_filtration(records, 0, 6))
+
+    def test_aligns_once(self, monkeypatch):
+        calls = []
+
+        def counting_align(family):
+            calls.append(1)
+            return align(family)
+
+        monkeypatch.setattr(filtration, "align", counting_align)
+        crossing_filtration(fixture_records(), 3, 6)
+        assert len(calls) == 1
 
 
 class TestCrossingFiltration:

@@ -368,6 +368,22 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert os.path.exists(os.path.join(out, "trajectory.csv"))
 
+    def test_analyze_family_leaves_cache_untouched(self, tmp_path):
+        """Family runs recompute from the closed forms: --cache is neither
+        created nor read, and the bundle is the one a cacheless run
+        writes."""
+        args = ["analyze", "--family", "double-twist", "--max-crossings",
+                "12", "--kmin", "3", "--kmax", "12"]
+        cache = tmp_path / "c.txt"
+        with_cache, without = str(tmp_path / "a"), str(tmp_path / "b")
+        result = CliRunner().invoke(
+            main, args + ["--cache", str(cache), "--out", with_cache])
+        assert result.exit_code == 0, result.output
+        assert not cache.exists()
+        result = CliRunner().invoke(main, args + ["--out", without])
+        assert result.exit_code == 0, result.output
+        assert bundle_bytes(with_cache) == bundle_bytes(without)
+
     def test_analyze_family_manifest_digest(self, tmp_path):
         out = str(tmp_path / "rep")
         result = CliRunner().invoke(
