@@ -5,7 +5,13 @@ encode families of knots as q^0-aligned integer coefficient clouds, and
 study their dimensionality and stability through crossing-number and norm
 filtrations with a PCA core: covariance accumulated from scratch, the
 eigensolve by LAPACK pinned to one BLAS thread.
+
+The filtration and PCA exports load (with numpy) on first access, so
+importing the package, and every command that does no analysis, starts
+without numpy.
 """
+
+import importlib
 
 from .bracket import jones, kauffman_bracket, skein_check
 from .cloud import (
@@ -32,24 +38,7 @@ from .diagrams import (
 )
 from .errors import KnotfoldError
 from .families import jones_double_twist, jones_torus
-from .filtration import (
-    angle_trajectory,
-    crossing_filtration,
-    eigensystem_trajectory,
-    norm_filtration,
-    norm_histogram,
-    relative_spread,
-)
 from .laurent import LaurentPolynomial, laurent_arith, substitute_inverse
-from .pca import (
-    CovarianceAccumulator,
-    EigenSystem,
-    PrincipalComponentAnalysis,
-    dimension_estimate,
-    normalized_variances,
-    project,
-    sym_eig,
-)
 from .pipeline import (
     AnalysisConfig,
     InvariantCache,
@@ -61,3 +50,49 @@ from .pipeline import (
 from .signature import signature_from_diagram
 
 __version__ = "0.1.0"
+
+# export name -> submodule, for the exports loaded on first access
+_LAZY = {
+    **dict.fromkeys((
+        "angle_trajectory",
+        "crossing_filtration",
+        "eigensystem_trajectory",
+        "norm_filtration",
+        "norm_histogram",
+        "relative_spread",
+    ), "filtration"),
+    **dict.fromkeys((
+        "CovarianceAccumulator",
+        "EigenSystem",
+        "PrincipalComponentAnalysis",
+        "dimension_estimate",
+        "normalized_variances",
+        "project",
+        "sym_eig",
+    ), "pca"),
+}
+
+__all__ = sorted([
+    "AlignedCloud", "AnalysisConfig", "CoefficientVector", "DTSequence",
+    "InvariantCache", "KnotRecord", "KnotfoldError", "LaurentPolynomial",
+    "PlanarDiagram", "align", "canonical_orientation", "coeff_vector",
+    "compute_batch", "dt_code", "embed", "generate_family", "ingest",
+    "is_alternating", "jones", "jones_double_twist", "jones_torus",
+    "kauffman_bracket", "l2_norm", "laurent_arith", "mirror", "parse_dt",
+    "parse_pd", "realize_dt", "run_analysis", "serialize_pd",
+    "signature_from_diagram", "skein_check", "substitute_inverse", "writhe",
+    *_LAZY,
+])
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import EmptyFamily, WindowOverflow
 from .laurent import LaurentPolynomial
+
+if TYPE_CHECKING:  # numpy loads in align, its one user
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -146,6 +148,8 @@ def align(family):
     preallocated int64 matrix; numpy raises OverflowError for any
     coefficient outside int64.
     """
+    import numpy as np
+
     family = list(family)
     if not family:
         raise EmptyFamily("cannot align an empty family")

@@ -14,7 +14,6 @@ import json
 import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .bracket import jones
@@ -261,14 +260,17 @@ def compute_batch(dataset, cache, workers=None, convention="a",
             if cache.get(r.id, dataset.digest) is None]
     jobs = [(i, r.id, dataset.format, r.payload, convention, r.meta,
              dataset.digest) for i, r in todo]
-    results = []
-    if jobs:
-        if workers > 1 and len(jobs) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_compute_one, jobs,
-                                        chunksize=max(1, len(jobs) // (4 * workers))))
-        else:
-            results = [_compute_one(job) for job in jobs]
+    # A forked pool starts all its workers at the first submit, so it gets
+    # no more workers than jobs.
+    workers = min(workers, len(jobs))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_compute_one, jobs,
+                                    chunksize=max(1, len(jobs) // (4 * workers))))
+    else:
+        results = [_compute_one(job) for job in jobs]
     results.sort(key=lambda t: t[0])
     failures = []
     lines = []
@@ -313,7 +315,8 @@ def generate_family(kind, limit, cache=None):
     else:
         raise UnknownFormat(f"unknown family {kind!r}")
     if cache is not None:
-        cache.append([_cache_line(r.id, digest, r) for r in records])
+        cache.append([_cache_line(r.id, digest, r) for r in records
+                      if cache.get(r.id, digest) is None])
     return digest, records
 
 

@@ -203,6 +203,43 @@ class TestComputeBatch:
         # the supplied sigma = -2 forces a mirror during canonicalization
         assert records[0].sigma == 2 and records[0].mirror_applied
 
+    def test_pool_capped_at_job_count(self, tmp_path, monkeypatch):
+        """A forked pool starts all its workers at once, so it gets no more
+        workers than there are uncached records, and none for one."""
+        import concurrent.futures
+
+        sizes = []
+
+        class StubPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            StubPool)
+        p = tmp_path / "three.dt"
+        with open(FIXTURE_FILE) as fh:
+            p.write_text("".join(fh.readlines()[2:5]))
+        ds = ingest([str(p)])
+        cache = InvariantCache(None)
+        records, failures = compute_batch(ds, cache, workers=64)
+        assert sizes == [3] and len(records) == 3 and not failures
+        del cache.entries[(ds.records[0].id, ds.digest)]
+        del cache.entries[(ds.records[2].id, ds.digest)]
+        compute_batch(ds, cache, workers=64)
+        assert sizes == [3, 2]
+        del cache.entries[(ds.records[1].id, ds.digest)]
+        compute_batch(ds, cache, workers=64)
+        assert sizes == [3, 2]
+
 
 class TestComputeOne:
     def test_one_walk_per_diagram(self, monkeypatch):
@@ -268,6 +305,29 @@ class TestGenerateFamily:
         generate_family("torus", 7, InvariantCache(path))
         cache = InvariantCache(path)
         assert cache.get("T(2,3)", "torus-7") is not None
+
+    def test_regenerate_formats_nothing(self, tmp_path, monkeypatch):
+        """A second generate into the same file writes nothing and formats
+        no line for the records the file already holds."""
+        from knotfold.laurent import LaurentPolynomial
+
+        path = tmp_path / "fam.txt"
+        args = ["generate", "--family", "double-twist", "--max-crossings",
+                "12", "--cache", str(path)]
+        assert CliRunner().invoke(main, args).exit_code == 0
+        first = path.read_bytes()
+        assert first.count(b"\n") == 24
+        calls = []
+        to_text = LaurentPolynomial.to_text
+
+        def counted(self, *args):
+            calls.append(self)
+            return to_text(self, *args)
+
+        monkeypatch.setattr(LaurentPolynomial, "to_text", counted)
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0 and "generated 24 knots" in result.output
+        assert path.read_bytes() == first and calls == []
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
