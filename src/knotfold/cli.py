@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 
@@ -36,6 +37,18 @@ def _share(ctx, param, value):
     return value
 
 
+def _report_errors(command):
+    """Report a KnotfoldError as ``error: ...`` with exit status 1."""
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except KnotfoldError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+    return run
+
+
 @click.group()
 def main():
     """Jones polynomial point cloud toolkit."""
@@ -48,6 +61,7 @@ def main():
               default="dt", show_default=True)
 @click.option("--dt-sign-convention", type=click.Choice(["a", "b"]),
               default="a", show_default=True)
+@_report_errors
 def ingest_cmd(paths, fmt, dt_sign_convention):
     """Parse dataset files and report record and reject counts."""
     ds = ingest(paths, fmt, dt_sign_convention)
@@ -67,6 +81,7 @@ def ingest_cmd(paths, fmt, dt_sign_convention):
 @click.option("--cache", type=click.Path(), required=True)
 @click.option("--workers", type=click.IntRange(min=1), default=None,
               help="defaults to core count or KNOTFOLD_WORKERS")
+@_report_errors
 def compute_cmd(paths, fmt, dt_sign_convention, cache, workers):
     """Compute canonicalized Jones invariants into the cache."""
     workers = workers or _default_workers()
@@ -86,6 +101,7 @@ def compute_cmd(paths, fmt, dt_sign_convention, cache, workers):
               required=True)
 @click.option("--max-crossings", type=click.IntRange(min=3), required=True)
 @click.option("--cache", type=click.Path(), required=True)
+@_report_errors
 def generate_cmd(family, max_crossings, cache):
     """Generate a knot family and cache its Jones polynomials."""
     store = InvariantCache(cache)
@@ -138,26 +154,21 @@ def _load_records(cache_path, paths, fmt, convention, family, max_crossings):
 @click.option("--variance-threshold", type=float, default=0.95,
               show_default=True, callback=_share)
 @click.option("--out", type=click.Path(), required=True)
+@_report_errors
 def analyze_cmd(paths, fmt, dt_sign_convention, family, max_crossings,
                 cache, filtration, class_filter, levels, kmin, kmax, bins,
                 variance_threshold, out):
     """Run a filtration analysis and write the report bundle."""
     if kmin > kmax:
         raise click.UsageError(f"--kmin {kmin} exceeds --kmax {kmax}")
-    try:
-        records, digests = _load_records(cache, paths, fmt,
-                                         dt_sign_convention, family,
-                                         max_crossings)
-        config = AnalysisConfig(
-            filtration=filtration,
-            class_filter=_CLASS_ALIASES[class_filter],
-            k_min=kmin, k_max=kmax, levels=levels, bins=bins,
-            variance_threshold=variance_threshold)
-        spectra = run_analysis(records, config, out, digests,
-                               log=sys.stderr)
-    except KnotfoldError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    records, digests = _load_records(cache, paths, fmt, dt_sign_convention,
+                                     family, max_crossings)
+    config = AnalysisConfig(
+        filtration=filtration,
+        class_filter=_CLASS_ALIASES[class_filter],
+        k_min=kmin, k_max=kmax, levels=levels, bins=bins,
+        variance_threshold=variance_threshold)
+    spectra = run_analysis(records, config, out, digests, log=sys.stderr)
     for s in spectra:
         click.echo(f"step {s.label}: n={s.count} d={s.ambient_dim} "
                    f"dimension={s.dimension}")
@@ -168,7 +179,8 @@ def analyze_cmd(paths, fmt, dt_sign_convention, family, max_crossings,
               type=click.Choice(["spectrum", "trajectory", "angles",
                                  "histogram", "projection"]),
               required=True)
-@click.option("--out", type=click.Path(), required=True,
+@click.option("--out", type=click.Path(exists=True, file_okay=False),
+              required=True,
               help="report bundle directory written by analyze")
 def export_cmd(what, out):
     """Print a report artifact from an analysis bundle to stdout."""

@@ -2,9 +2,11 @@
 
 Input files are line oriented: ``id;crossing_number;code`` with optional
 trailing ``key=value`` fields (sigma, s, alternating).  The cache is an
-append-only text file whose lines are
-``id;digest;jones;sigma;alternating;mirror_applied``; a cache hit is
-bit-identical to recomputation, so interrupted runs resume cleanly.
+append-only text file: a schema header line, then one line per outcome,
+``id;key;jones;sigma;alternating;mirror_applied`` for a result and
+``id;key;!;Class: message`` for a failure.  ``key`` is a content hash of
+everything the outcome depends on, so a cache hit is bit-identical to
+recomputation and interrupted runs resume cleanly.
 """
 
 from __future__ import annotations
@@ -38,11 +40,17 @@ from .signature import signature_from_diagram
 
 FORMATS = ("dt", "pd")
 
-# One cache line, id;digest;jones;sigma;alternating;mirror_applied, with the
-# Jones polynomial in the text form LaurentPolynomial.to_text writes.
+# Part of every cache key and of the cache header; see InvariantCache.
+SCHEMA_VERSION = 1
+_HEADER = f"knotfold invariant cache, schema {SCHEMA_VERSION}\n".encode()
+
+# One cache line after the header: id;key;jones;sigma;alternating;mirror_applied
+# with the Jones polynomial in the text form LaurentPolynomial.to_text writes,
+# or id;key;!;Class: message for a record that failed.
 _TERM = r"\d+(?:\*q\^(?:-?\d+|\(-?\d+/2\)))?"
 _CACHE_LINE_RE = re.compile(
-    rf"[^;]+;[^;]+;(?:0|-?{_TERM}(?: [+-] {_TERM})*);(?:\?|-?\d+);[01];[01]")
+    rf"[^;]+;[0-9a-f]{{64}};(?:(?:0|-?{_TERM}(?: [+-] {_TERM})*);(?:\?|-?\d+)"
+    r";[01];[01]|!;[A-Za-z_]\w*: .*)")
 
 
 @dataclass(frozen=True)
@@ -102,8 +110,9 @@ def _parse_line(line, lineno):
 def ingest(paths, format="dt", convention="a"):
     """Parse dataset files, quarantining malformed lines with line numbers.
 
-    A record id is a cache key, so a line reusing the id of an earlier
-    record, in the same file or an earlier one, is quarantined too.
+    Results, failures and reports name records by id, so a line reusing
+    the id of an earlier record, in the same file or an earlier one, is
+    quarantined too.
     """
     if format not in FORMATS:
         raise UnknownFormat(f"unknown dataset format {format!r}")
@@ -144,54 +153,98 @@ def ingest(paths, format="dt", convention="a"):
                    tuple(records), tuple(rejects))
 
 
-class InvariantCache:
-    """Append-only text cache of canonicalized invariants.
+def cache_key(*fields):
+    """The cache key of an outcome that is a function of exactly these
+    fields: a sha256 over the schema version and the fields, as JSON."""
+    text = json.dumps([SCHEMA_VERSION, *fields])
+    return hashlib.sha256(text.encode()).hexdigest()
 
-    Loading skips every line whose fields do not decode.  A last line
-    without its newline was torn by an interrupted write: it is skipped
-    too, and cut off before the next append, so a resumed run ends with
-    the same bytes as an uninterrupted one.
+
+def record_key(fmt, convention, rec):
+    """A dataset record's key, over everything ``_compute_one`` reads: the
+    format, the DT sign convention, and the payload and metadata as
+    written.  The id and the dataset are not in it, so an unchanged record
+    keeps its key in edited and concatenated datasets."""
+    return cache_key(fmt, convention, rec.payload, sorted(rec.meta.items()))
+
+
+class InvariantCache:
+    """Append-only text cache of computed outcomes, one line per key.
+
+    Failures are cached as well as results: every outcome is a
+    deterministic function of its key, so a warm run computes nothing.
+    That holds only while the outcome function stays the same, so any
+    change to what a key's line would be (the line layout, what
+    ``_compute_one`` or the family generators return, or a limit such as
+    ``bracket.SWEEP_STATE_BUDGET`` that decides which records fail) must
+    bump SCHEMA_VERSION.
+
+    The file starts with a header naming SCHEMA_VERSION, and a file with
+    another first line is refused, never served or appended to.  Loading
+    skips every line whose fields do not decode.  A last line without its
+    newline, the header included, was torn by an interrupted write: it is
+    skipped too, and cut off before the next append, so a resumed run
+    ends with the same bytes as an uninterrupted one.
     """
 
     def __init__(self, path):
         self.path = path
-        self.entries = {}
+        self.entries = {}  # key -> cache line
         self._torn_at = None  # byte offset of an unterminated last line
-        if path and os.path.exists(path):
+        if not path:
+            return
+        try:
             with open(path, "rb") as fh:
                 data = fh.read()
-            end = data.rfind(b"\n") + 1
-            if end < len(data):
-                self._torn_at = end
-            text = data[:end].decode("utf-8", errors="replace")
-            for line in text.split("\n"):
-                if _CACHE_LINE_RE.fullmatch(line):
-                    rid, digest, _ = line.split(";", 2)
-                    self.entries[(rid, digest)] = line
+        except FileNotFoundError:
+            return
+        except OSError as exc:
+            raise Unreadable(f"cannot read cache {path}: {exc}") from None
+        if not (data.startswith(_HEADER) or _HEADER.startswith(data)):
+            first = data.split(b"\n", 1)[0][:80].decode(errors="replace")
+            raise UnknownFormat(
+                f"{path} is not a knotfold cache of schema {SCHEMA_VERSION} "
+                f"(its first line is {first!r}); use a new cache file")
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            self._torn_at = end
+        text = data[len(_HEADER):end].decode("utf-8", errors="replace")
+        for line in text.split("\n"):
+            if _CACHE_LINE_RE.fullmatch(line):
+                self.entries[line.split(";", 2)[1]] = line
 
-    def get(self, rid, digest):
-        return self.entries.get((rid, digest))
+    def get(self, key):
+        return self.entries.get(key)
 
     def append(self, lines):
-        fresh = [l for l in lines
-                 if tuple(l.split(";")[:2]) not in self.entries]
+        """Write, in order, the lines whose key the cache lacks."""
+        fresh = {}
+        for line in lines:
+            key = line.split(";", 2)[1]
+            if key not in self.entries:
+                fresh.setdefault(key, line)
         if self.path:
-            with open(self.path, "a") as fh:
-                if self._torn_at is not None:
-                    fh.truncate(self._torn_at)
-                    self._torn_at = None
-                for line in fresh:
-                    fh.write(line + "\n")
-        for line in fresh:
-            parts = line.split(";")
-            self.entries[(parts[0], parts[1])] = line
+            try:
+                with open(self.path, "ab") as fh:
+                    if self._torn_at is not None:
+                        fh.truncate(self._torn_at)
+                        fh.seek(self._torn_at)
+                        self._torn_at = None
+                    if fh.tell() == 0:
+                        fh.write(_HEADER)
+                    fh.write("".join(l + "\n" for l in fresh.values()).encode())
+            except OSError as exc:
+                raise Unreadable(
+                    f"cannot write cache {self.path}: {exc}") from None
+        self.entries.update(fresh)
 
-    def record(self, rid, digest, crossing_number):
-        """Decode a cache line back into a canonicalized KnotRecord."""
-        line = self.get(rid, digest)
-        if line is None:
+    def record(self, key, rid, crossing_number):
+        """Decode the result under key into a canonicalized KnotRecord for
+        record rid; None when the key holds no result."""
+        fields = self.entries.get(key, ";;!").split(";")
+        if fields[2] == "!":
             return None
-        _, _, jones_text, sigma, alternating, mirrored = line.split(";")
+        _, _, jones_text, sigma, alternating, mirrored = fields
         return KnotRecord(
             id=rid,
             crossing_number=crossing_number,
@@ -201,19 +254,29 @@ class InvariantCache:
             mirror_applied={"1": True, "0": False}[mirrored],
         )
 
+    def failure(self, key):
+        """The "Class: message" reason cached under key; None when the key
+        holds no failure."""
+        fields = self.entries.get(key, ";;").split(";", 3)
+        return fields[3] if fields[2] == "!" else None
 
-def _cache_line(rid, digest, record):
+
+def _result_line(rid, key, record):
     sigma = "?" if record.sigma is None else str(record.sigma)
     return ";".join((
-        rid, digest, record.jones.to_text(), sigma,
+        rid, key, record.jones.to_text(), sigma,
         "1" if record.alternating else "0",
         "1" if record.mirror_applied else "0",
     ))
 
 
-def _compute_one(args):
-    """Worker: one raw record -> (index, cache line) or (index, error)."""
-    index, rid, fmt, payload, convention, meta, digest = args
+def _compute_one(job):
+    """Worker: one raw record -> its cache line, for a result or a failure.
+
+    Only deterministic failures are caught, so the line is a function of
+    the record's key alone.
+    """
+    rid, key, fmt, payload, convention, meta = job
     try:
         if fmt == "dt":
             diagram = realize_dt(parse_dt(payload), convention)
@@ -231,9 +294,9 @@ def _compute_one(args):
         s_inv = int(meta["s"]) if "s" in meta else None
         rec = KnotRecord(rid, 0, poly, alternating=alternating, sigma=sigma,
                          s_invariant=s_inv)
-        return index, _cache_line(rid, digest, canonical_orientation(rec)), None
+        return _result_line(rid, key, canonical_orientation(rec))
     except (KnotfoldError, ValueError, OverflowError) as exc:
-        return index, None, f"{type(exc).__name__}: {exc}"
+        return f"{rid};{key};!;{type(exc).__name__}: {exc}"
 
 
 def default_workers():
@@ -251,15 +314,21 @@ def compute_batch(dataset, cache, workers=None, convention="a",
                   max_failure_fraction=0.0):
     """Compute canonicalized invariants for every dataset record.
 
-    Results enter the cache in dataset order regardless of worker count,
-    so the cache file is byte-identical for any parallelism.  Returns
-    (records, failures); failures are (id, reason).
+    Each key the cache lacks is computed once, and its line enters the
+    cache in dataset order regardless of worker count, so the cache file
+    is byte-identical for any parallelism.  Every outcome is then read
+    back from the cache, so a cached failure is returned exactly as a
+    computed one.  Returns (records, failures); failures are
+    (id, "Class: message").
     """
     workers = workers or default_workers()
-    todo = [(i, r) for i, r in enumerate(dataset.records)
-            if cache.get(r.id, dataset.digest) is None]
-    jobs = [(i, r.id, dataset.format, r.payload, convention, r.meta,
-             dataset.digest) for i, r in todo]
+    keys = [record_key(dataset.format, convention, r) for r in dataset.records]
+    jobs = {}
+    for r, key in zip(dataset.records, keys):
+        if cache.get(key) is None:
+            jobs.setdefault(key, (r.id, key, dataset.format, r.payload,
+                                  convention, r.meta))
+    jobs = list(jobs.values())
     # A forked pool starts all its workers at the first submit, so it gets
     # no more workers than jobs.
     workers = min(workers, len(jobs))
@@ -267,23 +336,18 @@ def compute_batch(dataset, cache, workers=None, convention="a",
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_compute_one, jobs,
-                                    chunksize=max(1, len(jobs) // (4 * workers))))
+            lines = list(pool.map(_compute_one, jobs,
+                                  chunksize=max(1, len(jobs) // (4 * workers))))
     else:
-        results = [_compute_one(job) for job in jobs]
-    results.sort(key=lambda t: t[0])
-    failures = []
-    lines = []
-    for (index, line, error) in results:
-        if error is not None:
-            failures.append((dataset.records[index].id, error))
-        else:
-            lines.append(line)
+        lines = [_compute_one(job) for job in jobs]
     cache.append(lines)
     records = []
-    for r in dataset.records:
-        rec = cache.record(r.id, dataset.digest, r.crossing_number)
-        if rec is not None:
+    failures = []
+    for r, key in zip(dataset.records, keys):
+        rec = cache.record(key, r.id, r.crossing_number)
+        if rec is None:
+            failures.append((r.id, cache.failure(key)))
+        else:
             records.append(rec)
     if dataset.records and len(failures) > max_failure_fraction * len(dataset.records):
         if failures:
@@ -296,7 +360,8 @@ def generate_family(kind, limit, cache=None):
     """All torus or double twist knots with crossing number <= limit.
 
     Jones polynomials come from the closed forms; records are
-    canonicalized and entered into the cache when one is supplied.
+    canonicalized and entered into the cache when one is supplied, each
+    keyed by its family and member id, whatever the limit.
     """
     if limit < 3:
         raise ValueError("limit must be >= 3")
@@ -315,8 +380,9 @@ def generate_family(kind, limit, cache=None):
     else:
         raise UnknownFormat(f"unknown family {kind!r}")
     if cache is not None:
-        cache.append([_cache_line(r.id, digest, r) for r in records
-                      if cache.get(r.id, digest) is None])
+        keys = [cache_key(kind, r.id) for r in records]
+        cache.append([_result_line(r.id, key, r)
+                      for r, key in zip(records, keys) if cache.get(key) is None])
     return digest, records
 
 
@@ -362,7 +428,11 @@ def run_analysis(records, config, out_dir, digests=(), log=None):
     from .pca import project
 
     t0 = time.time()
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise KnotfoldError(
+            f"cannot create report directory {out_dir}: {exc}") from None
     if config.filtration == "crossing":
         steps = F.crossing_filtration(records, config.k_min, config.k_max,
                                       config.class_filter)

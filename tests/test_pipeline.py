@@ -7,6 +7,7 @@ import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import knotfold
 from knotfold.cli import main
@@ -15,14 +16,66 @@ from knotfold.errors import (BadEnvironment, KnotfoldError, Unreadable,
 from knotfold.pipeline import (
     AnalysisConfig,
     InvariantCache,
+    cache_key,
     compute_batch,
     default_workers,
     generate_family,
     ingest,
+    record_key,
     run_analysis,
 )
 
 from conftest import FIXTURE_FILE, TABLE_POLYS
+
+
+# Two DT codes with valid syntax that admit no planar embedding.
+UNREALIZABLE = "nr-5;5;4 6 8 10 2\nnr-6;6;2 6 8 10 12 4\n"
+
+
+# Pieces of dataset lines, so that random lines get past the first checks.
+LINE_FRAGMENTS = (b"3_1", b"k", b";", b"3", b"-1", b"0", b"4 6 2", b" 8", b"-",
+                  b" ", b"sigma=", b"s=", b"alternating=", b"=", b"#", b",",
+                  b"X(1,4,2,5)", b"(", b"99999999999999999999", b"\xff",
+                  b"\r", b"\x00", b"\xe2\x80\xa8", b"\xc3\xa9")
+
+
+def stub_pool(monkeypatch):
+    """Patch an in-process executor into concurrent.futures; returns the
+    list of max_workers it is constructed with."""
+    import concurrent.futures
+
+    sizes = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
+    return sizes
+
+
+def count_compute_one(monkeypatch):
+    """Count pipeline._compute_one calls; returns the list of record ids
+    it is called for."""
+    from knotfold import pipeline
+
+    calls = []
+
+    def counted(job, _compute_one=pipeline._compute_one):
+        calls.append(job[0])
+        return _compute_one(job)
+
+    monkeypatch.setattr(pipeline, "_compute_one", counted)
+    return calls
 
 
 def run_cli(args, **env):
@@ -78,8 +131,26 @@ class TestIngest:
         assert [(lineno, reason.split(":")[0])
                 for _, lineno, reason in ds.rejects] == [(2, "UnknownFormat")]
 
+    @given(st.sampled_from(["dt", "pd"]), st.lists(st.one_of(
+        st.binary(max_size=24),
+        st.lists(st.sampled_from(LINE_FRAGMENTS), max_size=10).map(b"".join)),
+        max_size=8))
+    @settings(derandomize=True, deadline=None)
+    def test_random_byte_lines(self, tmp_path_factory, fmt, lines):
+        """Any bytes end as records or quarantined rejects, one per data
+        line, and raise nothing."""
+        path = tmp_path_factory.getbasetemp() / "fuzz.dt"
+        data = b"\n".join(lines)
+        path.write_bytes(data)
+        ds = ingest([str(path)], fmt)
+        text = data.decode("utf-8", errors="surrogateescape")
+        want = [n for n, line in enumerate(text.splitlines(), start=1)
+                if line.strip() and not line.strip().startswith("#")]
+        got = [r.lineno for r in ds.records] + [n for _, n, _ in ds.rejects]
+        assert sorted(got) == want
+
     def test_repeated_id_is_quarantined(self, tmp_path):
-        # two records under one id would share one cache key
+        # results and failures name records by id
         a, b = tmp_path / "a.dt", tmp_path / "b.dt"
         a.write_text("3_1;3;4 6 2\n3_1;4;4 6 8 2\n4_1;4;4 6 8 2\n")
         b.write_text("4_1;4;4 8 6 2\nnew;3;4 6 2\n")
@@ -130,7 +201,7 @@ class TestComputeBatch:
         compute_batch(ds, InvariantCache(path), workers=1)
         first = open(path, "rb").read()
         cache = InvariantCache(path)
-        assert all(cache.get(r.id, ds.digest) for r in ds.records)
+        assert all(cache.get(record_key("dt", "a", r)) for r in ds.records)
         records, failures = compute_batch(ds, cache, workers=1)
         assert len(records) == 8 and not failures
         assert open(path, "rb").read() == first
@@ -155,19 +226,23 @@ class TestComputeBatch:
         assert open(partial, "rb").read() == open(full, "rb").read()
 
     def test_torn_last_line_resumes_to_same_bytes(self, tmp_path):
-        """A cache cut at any byte of its last line resumes to the bytes
-        of an uninterrupted run."""
-        ds = ingest([FIXTURE_FILE])
+        """A cache cut at any byte, inside its header or any line, resumes
+        to the bytes and outcomes of an uninterrupted run."""
+        p = tmp_path / "ds.dt"
+        with open(FIXTURE_FILE) as fh:  # 0_1, 3_1 and 4_1
+            p.write_text("".join(fh.readlines()[:4]) + UNREALIZABLE)
+        ds = ingest([str(p)])
         full = tmp_path / "full.txt"
-        compute_batch(ds, InvariantCache(str(full)), workers=1)
+        want = compute_batch(ds, InvariantCache(str(full)), workers=1,
+                             max_failure_fraction=1.0)
+        assert len(want[0]) == 3 and len(want[1]) == 2
         data = full.read_bytes()
-        start = data.rstrip(b"\n").rfind(b"\n") + 1
         torn = tmp_path / "torn.txt"
-        for cut in range(start, len(data)):
+        for cut in range(len(data)):
             torn.write_bytes(data[:cut])
-            records, failures = compute_batch(
-                ds, InvariantCache(str(torn)), workers=1)
-            assert len(records) == 8 and not failures, cut
+            got = compute_batch(ds, InvariantCache(str(torn)), workers=1,
+                                max_failure_fraction=1.0)
+            assert got == want, cut
             assert torn.read_bytes() == data, cut
 
     def test_undecodable_cache_line_skipped(self, tmp_path):
@@ -175,11 +250,11 @@ class TestComputeBatch:
         path = tmp_path / "cache.txt"
         compute_batch(ds, InvariantCache(str(path)), workers=1)
         lines = path.read_text().splitlines(keepends=True)
-        rid, digest, _ = lines[1].split(";", 2)
-        lines[1] = f"{rid};{digest};1*q^;?;1;0\n"
+        rid, key, _ = lines[1].split(";", 2)
+        lines[1] = f"{rid};{key};1*q^;?;1;0\n"
         path.write_text("".join(lines))
         cache = InvariantCache(str(path))
-        assert cache.get(rid, digest) is None
+        assert cache.get(key) is None
         records, failures = compute_batch(ds, cache, workers=1)
         assert len(records) == 8 and not failures
 
@@ -206,25 +281,7 @@ class TestComputeBatch:
     def test_pool_capped_at_job_count(self, tmp_path, monkeypatch):
         """A forked pool starts all its workers at once, so it gets no more
         workers than there are uncached records, and none for one."""
-        import concurrent.futures
-
-        sizes = []
-
-        class StubPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, chunksize=1):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            StubPool)
+        sizes = stub_pool(monkeypatch)
         p = tmp_path / "three.dt"
         with open(FIXTURE_FILE) as fh:
             p.write_text("".join(fh.readlines()[2:5]))
@@ -232,13 +289,77 @@ class TestComputeBatch:
         cache = InvariantCache(None)
         records, failures = compute_batch(ds, cache, workers=64)
         assert sizes == [3] and len(records) == 3 and not failures
-        del cache.entries[(ds.records[0].id, ds.digest)]
-        del cache.entries[(ds.records[2].id, ds.digest)]
+        del cache.entries[record_key("dt", "a", ds.records[0])]
+        del cache.entries[record_key("dt", "a", ds.records[2])]
         compute_batch(ds, cache, workers=64)
         assert sizes == [3, 2]
-        del cache.entries[(ds.records[1].id, ds.digest)]
+        del cache.entries[record_key("dt", "a", ds.records[1])]
         compute_batch(ds, cache, workers=64)
         assert sizes == [3, 2]
+
+    def test_warm_run_starts_no_pool(self, tmp_path, monkeypatch):
+        """Failures are cached with results: a warm run constructs no
+        executor, computes nothing and returns the cold run's failures, and
+        the warm CLI prints them and exits 2 as the cold one does."""
+        sizes = stub_pool(monkeypatch)
+        calls = count_compute_one(monkeypatch)
+        p = tmp_path / "ds.dt"
+        with open(FIXTURE_FILE) as fh:
+            p.write_text(fh.read() + UNREALIZABLE)
+        ds = ingest([str(p)])
+        path = str(tmp_path / "cache.txt")
+        cold = compute_batch(ds, InvariantCache(path), workers=2,
+                             max_failure_fraction=1.0)
+        assert sizes == [2] and len(calls) == 10
+        assert [rid for rid, _ in cold[1]] == ["nr-5", "nr-6"]
+        warm = compute_batch(ds, InvariantCache(path), workers=2,
+                             max_failure_fraction=1.0)
+        assert sizes == [2] and len(calls) == 10
+        assert warm == cold
+
+        args = ["compute", str(p), "--cache", str(tmp_path / "cli.txt"),
+                "--workers", "2"]
+        first, second = (CliRunner().invoke(main, args) for _ in range(2))
+        assert first.exit_code == second.exit_code == 2
+        assert "failure nr-6: NotRealizable:" in first.output
+        assert second.output == first.output
+        assert sizes == [2, 2] and len(calls) == 20
+
+    def test_convention_is_part_of_the_key(self, tmp_path):
+        """A convention-b run on a cache written under convention a
+        computes its own lines, byte-identical to a fresh b run's."""
+        ds = ingest([FIXTURE_FILE])
+        mixed, fresh = tmp_path / "mixed.txt", tmp_path / "fresh.txt"
+        compute_batch(ds, InvariantCache(str(mixed)), workers=1,
+                      convention="a")
+        first = mixed.read_bytes()
+        got = compute_batch(ds, InvariantCache(str(mixed)), workers=1,
+                            convention="b")
+        want = compute_batch(ds, InvariantCache(str(fresh)), workers=1,
+                             convention="b")
+        assert got == want
+        header = first[:first.index(b"\n") + 1]
+        assert mixed.read_bytes() == first + fresh.read_bytes()[len(header):]
+
+    def test_unchanged_records_reuse_their_lines(self, tmp_path,
+                                                 monkeypatch):
+        """Neither the id nor the dataset is in a record's key: renamed
+        records in a new dataset are served from the cache under their new
+        ids, and only a record with new content is computed."""
+        path = str(tmp_path / "cache.txt")
+        old = compute_batch(ingest([FIXTURE_FILE]), InvariantCache(path),
+                            workers=1)[0]
+        p = tmp_path / "renamed.dt"
+        with open(FIXTURE_FILE) as fh:
+            p.write_text("".join("x" + line for line in fh.readlines()[1:])
+                         + "new;3;4 6 2;sigma=-2\n")
+        calls = count_compute_one(monkeypatch)
+        records, _ = compute_batch(ingest([str(p)]), InvariantCache(path),
+                                   workers=1)
+        assert calls == ["new"]
+        assert [r.id for r in records] == ["x" + r.id for r in old] + ["new"]
+        assert [(r.jones, r.sigma) for r in records[:-1]] == \
+            [(r.jones, r.sigma) for r in old]
 
 
 class TestComputeOne:
@@ -259,9 +380,8 @@ class TestComputeOne:
                 return _fn(*args)
             monkeypatch.setattr(diagrams, name, counted)
         payload = " ".join(map(str, code))
-        _, line, error = _compute_one(
-            (0, "k", "dt", payload, "a", {}, "digest"))
-        assert error is None and line.startswith("k;digest;")
+        line = _compute_one(("k", "key", "dt", payload, "a", {}))
+        assert line.startswith("k;key;") and ";!;" not in line
         assert calls == {"_dart_mate": 1, "_orientation": 1, "_faces": 1}
 
 
@@ -304,7 +424,7 @@ class TestGenerateFamily:
         path = str(tmp_path / "fam.txt")
         generate_family("torus", 7, InvariantCache(path))
         cache = InvariantCache(path)
-        assert cache.get("T(2,3)", "torus-7") is not None
+        assert cache.get(cache_key("torus", "T(2,3)")) is not None
 
     def test_regenerate_formats_nothing(self, tmp_path, monkeypatch):
         """A second generate into the same file writes nothing and formats
@@ -316,7 +436,7 @@ class TestGenerateFamily:
                 "12", "--cache", str(path)]
         assert CliRunner().invoke(main, args).exit_code == 0
         first = path.read_bytes()
-        assert first.count(b"\n") == 24
+        assert first.count(b"\n") == 1 + 24  # the header, then the members
         calls = []
         to_text = LaurentPolynomial.to_text
 
@@ -520,6 +640,38 @@ class TestCli:
                    "--out", str(tmp_path / "rep")])
         assert result.exit_code == 1
         assert "error:" in result.output
+
+    @pytest.mark.parametrize("args, code, named", [
+        (["ingest", "{dir}"], 1, "{dir}"),
+        (["compute", "{dir}", "--cache", "{tmp}/c.txt"], 1, "{dir}"),
+        (["compute", FIXTURE_FILE, "--cache", "{dir}"], 1, "{dir}"),
+        (["generate", "--family", "torus", "--max-crossings", "7",
+          "--cache", "{dir}"], 1, "{dir}"),
+        (["analyze", FIXTURE_FILE, "--cache", "{dir}", "--out", "{tmp}/rep"],
+         1, "{dir}"),
+        (["analyze", FIXTURE_FILE, "--out", "{old}"], 1, "{old}"),
+        (["compute", FIXTURE_FILE, "--cache", "{old}"], 1, "{old}"),
+        (["analyze", FIXTURE_FILE, "--cache", "{old}", "--out", "{tmp}/rep"],
+         1, "{old}"),
+        (["export", "--what", "trajectory", "--out", "{tmp}/none"], 2,
+         "{tmp}/none"),
+    ])
+    def test_error_without_traceback(self, tmp_path, args, code, named):
+        """A directory where a file belongs, an existing file as --out, a
+        missing bundle and a cache without this schema's header end as one
+        error naming the path, never a traceback; the cache is left as it
+        was."""
+        (tmp_path / "dir").mkdir()
+        old = tmp_path / "old.txt"  # a cache line of the headerless layout
+        old.write_text("3_1;" + "0" * 64 + ";-1*q^4 + 1*q^3 + 1*q^1;2;1;0\n")
+        before = old.read_bytes()
+        paths = {"dir": tmp_path / "dir", "old": old, "tmp": tmp_path}
+        result = run_cli([a.format(**paths) for a in args])
+        assert result.returncode == code, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "error" in result.stderr.lower()
+        assert named.format(**paths) in result.stderr
+        assert old.read_bytes() == before
 
     def test_export(self, tmp_path):
         runner = CliRunner()
