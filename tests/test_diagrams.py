@@ -127,6 +127,33 @@ class TestRealization:
             d = realize_dt(DTSequence(entries))
             assert entries in all_dt_codes(d)
 
+    def test_every_code_of_a_realization_keeps_jones(self):
+        """realize -> all_dt_codes -> realize keeps the Jones polynomial of
+        random prime diagrams, up to the mirror image that a DT code cannot
+        fix.  Composite diagrams, kinks included, are left out: each
+        interlacement component is pinned on its own, so another code of
+        the same diagram may mirror one factor (granny and square knot)."""
+        rng = random.Random(2019)
+        checked = 0
+        while checked < 120:
+            n = rng.randint(3, 10)
+            perm = rng.sample(range(2, 2 * n + 1, 2), n)
+            code = DTSequence(tuple(rng.choice((1, -1)) * e for e in perm))
+            if not _interlacement_connected(code):
+                continue
+            convention = rng.choice(("a", "b"))
+            try:
+                d = realize_dt(code, convention)
+            except NotRealizable:
+                continue
+            checked += 1
+            want = jones(d)
+            codes = all_dt_codes(d, convention)
+            assert code.entries in codes
+            for entries in codes:
+                assert jones(realize_dt(DTSequence(entries), convention)) in \
+                    (want, want.substitute_inverse()), (code, entries)
+
     def test_convention_b_flips_signs(self):
         d = realize_dt(parse_dt("4 6 2"))
         a = dt_code(d, "a").entries
@@ -152,6 +179,21 @@ class TestRealization:
                         eps = [1, 1 if mask & 1 == 0 else -1,
                                1 if mask & 2 == 0 else -1]
                         assert not _planar(seq, eps)
+
+
+def _interlacement_connected(code):
+    """Whether every two crossings are joined by a path of interlaced
+    crossings: crossing w is interlaced with u when exactly one of w's two
+    passage times lies strictly between u's."""
+    chords = [sorted((2 * i + 1, abs(e))) for i, e in enumerate(code.entries)]
+    seen, todo = {0}, [0]
+    while todo:
+        a, b = chords[todo.pop()]
+        for w, (c, d) in enumerate(chords):
+            if w not in seen and (a < c < b) != (a < d < b):
+                seen.add(w)
+                todo.append(w)
+    return len(seen) == len(chords)
 
 
 def _planar(code, eps):
