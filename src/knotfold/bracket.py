@@ -14,7 +14,8 @@ kink arc), or whose labels are the two ends of one path, closes a loop; any
 other strand joins the far ends of the paths at its labels, where a label
 with no path yet is its own far end.  A state's weight, a polynomial in A,
 is packed into one int by Kronecker substitution (see _bracket_sweep for
-the widths that keep the packing exact).
+the widths that keep the packing exact).  The sweep leaves out the first
+loop that its last crossing closes, so its total is the bracket itself.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 from .errors import CapExceeded, SweepNotClosed, WidthOverflow
 from .laurent import LaurentPolynomial
 
+# Both limits are read at every call.
 STATESUM_CAP = 24
 SWEEP_STATE_BUDGET = 200_000
 
@@ -36,10 +38,11 @@ def _delta():
     return LaurentPolynomial.from_coeffs(-2, [-1, 0, 0, 0, -1], "A")
 
 
-def _bracket_statesum(d, cap):
+def _bracket_statesum(d):
     n = d.n
-    if n > cap:
-        raise CapExceeded(f"{n} crossings exceeds the state-sum cap {cap}")
+    if n > STATESUM_CAP:
+        raise CapExceeded(
+            f"{n} crossings exceeds the state-sum cap {STATESUM_CAP}")
     mate = d.dart_mate
     arc_edges = [(a, b) for a, b in mate.items() if a < b]
     darts = [(ci, s) for ci in range(n) for s in range(4)]
@@ -157,7 +160,7 @@ def _unpack(packed, bits, off):
     return LaurentPolynomial._trusted(terms, "A")
 
 
-def _bracket_sweep(d, budget):
+def _bracket_sweep(d):
     """Bracket by the sweep, each state's weight packed into one int.
 
     A weight sum_e c_e A^e is the int sum_e c_e 2^(bits (e + off)), so
@@ -174,35 +177,40 @@ def _bracket_sweep(d, budget):
     exponent, also between the shifts of one crossing, stays within +-5j.
     With off = 5n every exponent plus off stays >= 0, so every right
     shift drops only zero bits.
+
+    The last crossing of the order closes a loop in every state that ends
+    closed: its labels are the only open ones, and if its first strand
+    closes no loop it pairs two far ends, which only its second strand
+    closing a path removes.  That loop is the normalized unknot, so the
+    last crossing counts one loop fewer and the total is the bracket.
     """
     n = d.n
     bits, off = 3 * n + 2, 5 * n
     loop_shift = 2 * bits
     closed = frozenset()
     states = {closed: 1 << (bits * off)}  # matching key -> packed weight
-    for ci in _sweep_order(d):
+    order = _sweep_order(d)
+    for ci in order:
         labels = d.crossings[ci]
+        unknot = ci == order[-1]
         new_states = {}
         for key, weight in states.items():
             for pairs, w in ((_A_PAIRS, weight << bits),
                              (_B_PAIRS, weight >> bits)):
                 k2, loops = _apply_crossing(key, labels, pairs)
-                for _ in range(loops):
+                for _ in range(loops - unknot):
                     w = -(w << loop_shift) - (w >> loop_shift)
                 new_states[k2] = new_states.get(k2, 0) + w
-        if len(new_states) > budget:
+        if len(new_states) > SWEEP_STATE_BUDGET:
             raise WidthOverflow(
                 f"sweep produced {len(new_states)} boundary states")
         states = new_states
     if list(states) != [closed]:
         raise SweepNotClosed("sweep did not close all strands")
-    # Every state closed all of its loops, so the total carries one spare
-    # delta relative to the bracket normalization.
-    return _unpack(states[closed], bits, off).exact_div(_delta())
+    return _unpack(states[closed], bits, off)
 
 
-def kauffman_bracket(d, mode="sweep", cap=STATESUM_CAP,
-                     budget=SWEEP_STATE_BUDGET):
+def kauffman_bracket(d, mode="sweep"):
     """Kauffman bracket of a diagram, 0-crossing unknot normalized to 1."""
     if d.n == 0:
         delta = _delta()
@@ -211,9 +219,9 @@ def kauffman_bracket(d, mode="sweep", cap=STATESUM_CAP,
             out = out * delta
         return out
     if mode == "statesum":
-        return _bracket_statesum(d, cap)
+        return _bracket_statesum(d)
     if mode == "sweep":
-        return _bracket_sweep(d, budget)
+        return _bracket_sweep(d)
     raise ValueError(f"unknown bracket mode {mode!r}")
 
 
@@ -228,11 +236,11 @@ def bracket_to_jones(bracket, w):
     return LaurentPolynomial._trusted(terms, "q")
 
 
-def jones(d, mode="sweep", cap=STATESUM_CAP, budget=SWEEP_STATE_BUDGET):
+def jones(d, mode="sweep"):
     """Jones polynomial of a diagram (variable q; J(unknot) = 1)."""
     from .diagrams import writhe
 
-    return bracket_to_jones(kauffman_bracket(d, mode, cap, budget), writhe(d))
+    return bracket_to_jones(kauffman_bracket(d, mode), writhe(d))
 
 
 def skein_check(jp, jm, j0):

@@ -13,22 +13,14 @@ from .pipeline import (
     AnalysisConfig,
     InvariantCache,
     compute_batch,
-    default_workers,
     generate_family,
     ingest,
+    make_report_dir,
     run_analysis,
 )
 
 _CLASS_ALIASES = {"all": "all", "alt": "alternating",
                   "nonalt": "nonalternating"}
-
-
-def _default_workers():
-    """default_workers(), with a bad KNOTFOLD_WORKERS as a usage error."""
-    try:
-        return default_workers()
-    except BadEnvironment as exc:
-        raise click.UsageError(str(exc)) from None
 
 
 def _share(ctx, param, value):
@@ -38,11 +30,14 @@ def _share(ctx, param, value):
 
 
 def _report_errors(command):
-    """Report a KnotfoldError as ``error: ...`` with exit status 1."""
+    """Report a KnotfoldError as ``error: ...`` with exit status 1, and a
+    bad KNOTFOLD_WORKERS as a usage error."""
     @functools.wraps(command)
     def run(*args, **kwargs):
         try:
             return command(*args, **kwargs)
+        except BadEnvironment as exc:
+            raise click.UsageError(str(exc)) from None
         except KnotfoldError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
@@ -84,7 +79,6 @@ def ingest_cmd(paths, fmt, dt_sign_convention):
 @_report_errors
 def compute_cmd(paths, fmt, dt_sign_convention, cache, workers):
     """Compute canonicalized Jones invariants into the cache."""
-    workers = workers or _default_workers()
     ds = ingest(paths, fmt, dt_sign_convention)
     store = InvariantCache(cache)
     records, failures = compute_batch(
@@ -113,18 +107,13 @@ def generate_cmd(family, max_crossings, cache):
 
 def _load_records(cache_path, paths, fmt, convention, family, max_crossings):
     if family:
-        if max_crossings is None:
-            raise click.UsageError("--family needs --max-crossings")
         # recomputing from the closed forms is cheaper than reading back
         digest, records = generate_family(family.replace("-", "_"),
                                           max_crossings)
         return records, [digest]
-    if not paths:
-        raise click.UsageError("need dataset paths or --family")
     store = InvariantCache(cache_path)  # path None -> in-memory only
-    workers = _default_workers()
     ds = ingest(paths, fmt, convention)
-    records, _ = compute_batch(ds, store, workers, convention,
+    records, _ = compute_batch(ds, store, convention=convention,
                                max_failure_fraction=1.0)
     return records, [ds.digest]
 
@@ -161,6 +150,11 @@ def analyze_cmd(paths, fmt, dt_sign_convention, family, max_crossings,
     """Run a filtration analysis and write the report bundle."""
     if kmin > kmax:
         raise click.UsageError(f"--kmin {kmin} exceeds --kmax {kmax}")
+    if family and max_crossings is None:
+        raise click.UsageError("--family needs --max-crossings")
+    if not family and not paths:
+        raise click.UsageError("need dataset paths or --family")
+    make_report_dir(out)  # before any record is computed into --cache
     records, digests = _load_records(cache, paths, fmt, dt_sign_convention,
                                      family, max_crossings)
     config = AnalysisConfig(

@@ -177,14 +177,6 @@ class PlanarDiagram:
     def n(self):
         return len(self.crossings)
 
-    def arc_occurrences(self):
-        """Map arc label -> the two darts carrying it, in crossing order."""
-        occ = {}
-        for ci, cr in enumerate(self.crossings):
-            for s, label in enumerate(cr):
-                occ.setdefault(label, []).append((ci, s))
-        return occ
-
     @cached_property
     def dart_mate(self):
         """Involution pairing the two darts of every arc, read-only."""
@@ -411,8 +403,9 @@ def dt_code(d, convention="a", start=None, reverse=False):
     visits = components[0]
     if start is None:
         lowest = min(label for cr in d.crossings for label in cr)
-        head = d.arc_occurrences()[lowest]
-        start = head[0] if head[0] in incoming else head[1]
+        ci = next(i for i, cr in enumerate(d.crossings) if lowest in cr)
+        first = (ci, d.crossings[ci].index(lowest))
+        start = first if first in incoming else d.dart_mate[first]
     idx = visits.index(start)
     order = visits[idx:] + visits[:idx]
     if reverse:

@@ -151,11 +151,6 @@ class LaurentPolynomial:
                     terms.pop(e, None)
         return LaurentPolynomial(terms, self.var)
 
-    def scale(self, c):
-        if c == 0:
-            return LaurentPolynomial.zero(self.var)
-        return LaurentPolynomial({e: c * v for e, v in self.terms.items()}, self.var)
-
     def shift4(self, exp4):
         """Multiply by var**(exp4/4)."""
         return LaurentPolynomial({e + exp4: c for e, c in self.terms.items()}, self.var)

@@ -45,14 +45,11 @@ class CovarianceAccumulator:
         if row.shape != (self.dim,):
             raise DimensionMismatch(
                 f"row of length {row.shape} in a {self.dim}-dim accumulator")
-        self.count += 1
-        delta = row - self.mean
-        self.mean += delta / self.count
-        self.m2 += np.outer(delta, row - self.mean)
-        return self
+        return self.add_block(row[None, :])
 
     def add_block(self, rows):
-        """Accumulate a 2-D block at once (same result as row-by-row)."""
+        """Accumulate a 2-D block at once, merged like any other shard, so
+        a block of one row gives the same bits as ``add``."""
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != self.dim:
             raise DimensionMismatch(
@@ -169,11 +166,8 @@ def sym_eig(k):
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     vec = vec[:, order]
-    for i in range(n):
-        col = vec[:, i]
-        j = np.argmax(np.abs(col))
-        if col[j] < 0:
-            vec[:, i] = -col
+    if n:  # argmax refuses an empty axis
+        vec[:, vec[np.abs(vec).argmax(axis=0), np.arange(n)] < 0] *= -1
     total = lam.sum()
     normalized = lam / total if total > 0 else np.zeros(n)
     return EigenSystem(lam, vec, normalized, np.cumsum(normalized))

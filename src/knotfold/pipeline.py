@@ -282,7 +282,7 @@ def _compute_one(job):
             diagram = realize_dt(parse_dt(payload), convention)
         else:
             diagram = parse_pd(payload)
-        poly = jones(diagram, mode="sweep")
+        poly = jones(diagram)
         if "sigma" in meta:
             sigma = int(meta["sigma"])
         else:
@@ -417,6 +417,15 @@ def _write_csv(path, header, rows):
                 for v in row) + "\n")
 
 
+def make_report_dir(out_dir):
+    """Create the report directory, or raise KnotfoldError naming it."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise KnotfoldError(
+            f"cannot create report directory {out_dir}: {exc}") from None
+
+
 def run_analysis(records, config, out_dir, digests=(), log=None):
     """Filtration + PCA + diagnostics; writes the report bundle.
 
@@ -428,11 +437,7 @@ def run_analysis(records, config, out_dir, digests=(), log=None):
     from .pca import project
 
     t0 = time.time()
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise KnotfoldError(
-            f"cannot create report directory {out_dir}: {exc}") from None
+    make_report_dir(out_dir)
     if config.filtration == "crossing":
         steps = F.crossing_filtration(records, config.k_min, config.k_max,
                                       config.class_filter)

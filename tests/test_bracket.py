@@ -18,7 +18,8 @@ from knotfold.diagrams import (
     realize_dt,
     writhe,
 )
-from knotfold.errors import CapExceeded, NotRealizable, SweepNotClosed
+from knotfold.errors import (CapExceeded, NotRealizable, SweepNotClosed,
+                             WidthOverflow)
 from knotfold.families import torus_diagram
 from knotfold.laurent import LaurentPolynomial, substitute_inverse
 
@@ -45,9 +46,20 @@ class TestBracketBasics:
         assert jones(d) == LaurentPolynomial({-2: -1, -10: -1}, "q")
 
     def test_statesum_cap(self):
-        d = realize_dt(parse_dt("4 6 2"))
+        d = torus_diagram(bracket.STATESUM_CAP + 1)
         with pytest.raises(CapExceeded):
-            kauffman_bracket(d, "statesum", cap=2)
+            kauffman_bracket(d, "statesum")
+
+    def test_sweep_state_budget(self, monkeypatch):
+        """The budget is read at call time, and a record over it ends as a
+        WidthOverflow failure line."""
+        from knotfold.pipeline import _compute_one
+
+        monkeypatch.setattr(bracket, "SWEEP_STATE_BUDGET", 1)
+        with pytest.raises(WidthOverflow):
+            jones(realize_dt(parse_dt("4 8 10 2 6")))
+        line = _compute_one(("k", "key", "dt", "4 8 10 2 6", "a", {}))
+        assert line.startswith("k;key;!;WidthOverflow: ")
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

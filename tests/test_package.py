@@ -1,6 +1,9 @@
 """The package root: its exports, and what importing it loads."""
 
+import ast
 import importlib
+import importlib.util
+import inspect
 import json
 import os
 import re
@@ -15,7 +18,9 @@ from knotfold.cli import main
 
 from conftest import FIXTURE_FILE
 
-README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(ROOT, "README.md")
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 # Runs in a fresh interpreter: argv is the fixture file and a scratch
 # directory holding an analyze bundle in "bundle".  Prints one JSON line
@@ -83,3 +88,43 @@ def test_readme_library_trefoil():
                           re.S).group(1)
     trefoil = block[:block.index("\n", block.index("print(p.to_text())"))]
     assert _run_python(trefoil) == "-1*q^4 + 1*q^3 + 1*q^1\n"
+
+
+def test_benchmark_hooks_resolve():
+    """Every function perfbench/tracer.py wraps is where Tracer.install
+    looks it up: a module attribute, or a key of the class __dict__."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(PERFBENCH, "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for owner_path, attr, *_ in tracer.TARGETS:
+        module_name, _, class_name = owner_path.partition(":")
+        owner = importlib.import_module(module_name)
+        if class_name:
+            found = attr in getattr(owner, class_name).__dict__
+        else:
+            found = getattr(owner, attr, None) is not None
+        if not found:
+            missing.append(f"{owner_path}.{attr}")
+    assert not missing
+
+
+def test_benchmark_calls_bind():
+    """The calls perfbench/gate.py and perfbench/capture.py make to
+    ingest, compute_batch and InvariantCache fit their signatures."""
+    from knotfold.pipeline import InvariantCache, compute_batch, ingest
+
+    called = {"ingest": ingest, "compute_batch": compute_batch,
+              "InvariantCache": InvariantCache}
+    seen = set()
+    for name in ("gate.py", "capture.py"):
+        with open(os.path.join(PERFBENCH, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in called):
+                inspect.signature(called[node.func.id]).bind(
+                    *node.args, **{k.arg: k.value for k in node.keywords})
+                seen.add(node.func.id)
+    assert seen == set(called)

@@ -44,6 +44,20 @@ class TestAccumulator:
             acc.add(row)
         assert np.allclose(acc.finalize(), np.cov(x.T), atol=1e-12)
 
+    def test_one_update_rule(self):
+        """Rows, one-row blocks and merged one-row shards all combine
+        through merge, so they agree to the bit."""
+        x = np.random.default_rng(4).standard_normal((30, 5))
+        rows, blocks, shards = (CovarianceAccumulator(5) for _ in range(3))
+        for row in x:
+            rows.add(row)
+            blocks.add_block(row[None, :])
+            shards.merge(CovarianceAccumulator(5).add(row))
+        for acc in (blocks, shards):
+            assert acc.count == rows.count
+            assert np.array_equal(acc.mean, rows.mean)
+            assert np.array_equal(acc.m2, rows.m2)
+
     def test_merge_equals_single_pass(self):
         x = np.random.default_rng(2).standard_normal((101, 5))
         whole = CovarianceAccumulator(5).add_block(x)

@@ -225,6 +225,23 @@ class TestComputeBatch:
         compute_batch(ds, InvariantCache(partial), workers=1)
         assert open(partial, "rb").read() == open(full, "rb").read()
 
+    def test_bracket_needs_no_division(self, tmp_path, monkeypatch):
+        """The sweep returns the bracket itself: with polynomial division
+        failing, a batch gives the same records and cache bytes."""
+        from knotfold.errors import InexactDivision
+        from knotfold.laurent import LaurentPolynomial
+
+        ds = ingest([FIXTURE_FILE])
+        p1, p2 = str(tmp_path / "c1.txt"), str(tmp_path / "c2.txt")
+        want = compute_batch(ds, InvariantCache(p1), workers=1)
+
+        def no_division(self, divisor):
+            raise InexactDivision("division is not used")
+
+        monkeypatch.setattr(LaurentPolynomial, "exact_div", no_division)
+        assert compute_batch(ds, InvariantCache(p2), workers=1) == want
+        assert open(p1, "rb").read() == open(p2, "rb").read()
+
     def test_torn_last_line_resumes_to_same_bytes(self, tmp_path):
         """A cache cut at any byte, inside its header or any line, resumes
         to the bytes and outcomes of an uninterrupted run."""
@@ -672,6 +689,17 @@ class TestCli:
         assert "error" in result.stderr.lower()
         assert named.format(**paths) in result.stderr
         assert old.read_bytes() == before
+
+    def test_unusable_out_computes_nothing(self, tmp_path):
+        """An --out that cannot be a directory is refused before any
+        record is computed into the cache."""
+        out, cache = tmp_path / "file", tmp_path / "cx.txt"
+        out.write_text("")
+        result = run_cli(["analyze", FIXTURE_FILE, "--cache", str(cache),
+                          "--out", str(out)])
+        assert result.returncode == 1
+        assert "cannot create report directory" in result.stderr
+        assert not cache.exists()
 
     def test_export(self, tmp_path):
         runner = CliRunner()
