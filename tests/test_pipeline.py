@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import knotfold
 from knotfold.cli import main
-from knotfold.errors import (BadEnvironment, KnotfoldError, Unreadable,
-                             UnknownFormat)
+from knotfold.errors import (BadEnvironment, InexactDivision, KnotfoldError,
+                             Unreadable, UnknownFormat)
 from knotfold.pipeline import (
     AnalysisConfig,
     InvariantCache,
@@ -228,7 +228,6 @@ class TestComputeBatch:
     def test_bracket_needs_no_division(self, tmp_path, monkeypatch):
         """The sweep returns the bracket itself: with polynomial division
         failing, a batch gives the same records and cache bytes."""
-        from knotfold.errors import InexactDivision
         from knotfold.laurent import LaurentPolynomial
 
         ds = ingest([FIXTURE_FILE])
