@@ -21,8 +21,6 @@ from .cloud import (
     align,
     canonical_orientation,
     coeff_vector,
-    embed,
-    l2_norm,
 )
 from .diagrams import (
     DTSequence,
@@ -33,12 +31,11 @@ from .diagrams import (
     parse_dt,
     parse_pd,
     realize_dt,
-    serialize_pd,
     writhe,
 )
 from .errors import KnotfoldError
 from .families import jones_double_twist, jones_torus
-from .laurent import LaurentPolynomial, laurent_arith, substitute_inverse
+from .laurent import LaurentPolynomial
 from .pipeline import (
     AnalysisConfig,
     InvariantCache,
@@ -64,9 +61,7 @@ _LAZY = {
     **dict.fromkeys((
         "CovarianceAccumulator",
         "EigenSystem",
-        "PrincipalComponentAnalysis",
         "dimension_estimate",
-        "normalized_variances",
         "project",
         "sym_eig",
     ), "pca"),
@@ -76,11 +71,10 @@ __all__ = sorted([
     "AlignedCloud", "AnalysisConfig", "CoefficientVector", "DTSequence",
     "InvariantCache", "KnotRecord", "KnotfoldError", "LaurentPolynomial",
     "PlanarDiagram", "align", "canonical_orientation", "coeff_vector",
-    "compute_batch", "dt_code", "embed", "generate_family", "ingest",
+    "compute_batch", "dt_code", "generate_family", "ingest",
     "is_alternating", "jones", "jones_double_twist", "jones_torus",
-    "kauffman_bracket", "l2_norm", "laurent_arith", "mirror", "parse_dt",
-    "parse_pd", "realize_dt", "run_analysis", "serialize_pd",
-    "signature_from_diagram", "skein_check", "substitute_inverse", "writhe",
+    "kauffman_bracket", "mirror", "parse_dt", "parse_pd", "realize_dt",
+    "run_analysis", "signature_from_diagram", "skein_check", "writhe",
     *_LAZY,
 ])
 

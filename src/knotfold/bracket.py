@@ -1,10 +1,9 @@
 """Kauffman bracket and Jones polynomial evaluation.
 
-Two independent evaluators are provided: an exhaustive state sum over all
-2^n smoothings (the oracle, capped), and a sweep that eliminates crossings
-one at a time while tracking how the open strand ends of the processed part
-pair up.  Both return the bracket in the variable A with the 0-crossing
-unknot normalized to 1.
+The bracket is evaluated by a sweep that eliminates crossings one at a
+time while tracking how the open strand ends of the processed part pair
+up.  It returns the bracket in the variable A with the 0-crossing unknot
+normalized to 1.
 
 A sweep state is an involution on the open arc labels, keyed by the
 frozenset of its (label, partner) items, which equal involutions share.
@@ -20,11 +19,10 @@ loop that its last crossing closes, so its total is the bracket itself.
 
 from __future__ import annotations
 
-from .errors import CapExceeded, SweepNotClosed, WidthOverflow
+from .errors import SweepNotClosed, WidthOverflow
 from .laurent import LaurentPolynomial
 
-# Both limits are read at every call.
-STATESUM_CAP = 24
+# Read at every call.
 SWEEP_STATE_BUDGET = 200_000
 
 # Smoothing of a crossing (slots 0..3, CCW from the incoming under-strand):
@@ -36,58 +34,6 @@ _B_PAIRS = ((0, 3), (1, 2))
 def _delta():
     """Bracket loop value: -A^2 - A^-2."""
     return LaurentPolynomial.from_coeffs(-2, [-1, 0, 0, 0, -1], "A")
-
-
-def _bracket_statesum(d):
-    n = d.n
-    if n > STATESUM_CAP:
-        raise CapExceeded(
-            f"{n} crossings exceeds the state-sum cap {STATESUM_CAP}")
-    mate = d.dart_mate
-    arc_edges = [(a, b) for a, b in mate.items() if a < b]
-    darts = [(ci, s) for ci in range(n) for s in range(4)]
-    index = {dart: i for i, dart in enumerate(darts)}
-
-    total = LaurentPolynomial.zero("A")
-    delta = _delta()
-    delta_pows = {0: LaurentPolynomial.one("A")}
-
-    for state in range(1 << n):
-        parent = list(range(4 * n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-                return True
-            return False
-
-        loops = 4 * n  # darts; each union of distinct sets merges two
-        for a, b in arc_edges:
-            if union(index[a], index[b]):
-                loops -= 1
-        n_a = 0
-        for ci in range(n):
-            use_a = not (state >> ci) & 1
-            n_a += use_a
-            for s1, s2 in (_A_PAIRS if use_a else _B_PAIRS):
-                if union(index[(ci, s1)], index[(ci, s2)]):
-                    loops -= 1
-        k = loops - 1
-        if k not in delta_pows:
-            p = delta_pows[max(delta_pows)]
-            for j in range(max(delta_pows), k):
-                p = p * delta
-                delta_pows[j + 1] = p
-        term = delta_pows[k].shift4(4 * (2 * n_a - n))  # A^(n_a - n_b)
-        total = total + term
-    return total
 
 
 def _sweep_order(d):
@@ -210,7 +156,7 @@ def _bracket_sweep(d):
     return _unpack(states[closed], bits, off)
 
 
-def kauffman_bracket(d, mode="sweep"):
+def kauffman_bracket(d):
     """Kauffman bracket of a diagram, 0-crossing unknot normalized to 1."""
     if d.n == 0:
         delta = _delta()
@@ -218,11 +164,7 @@ def kauffman_bracket(d, mode="sweep"):
         for _ in range(d.component_count - 1):
             out = out * delta
         return out
-    if mode == "statesum":
-        return _bracket_statesum(d)
-    if mode == "sweep":
-        return _bracket_sweep(d)
-    raise ValueError(f"unknown bracket mode {mode!r}")
+    return _bracket_sweep(d)
 
 
 def bracket_to_jones(bracket, w):
@@ -236,11 +178,11 @@ def bracket_to_jones(bracket, w):
     return LaurentPolynomial._trusted(terms, "q")
 
 
-def jones(d, mode="sweep"):
+def jones(d):
     """Jones polynomial of a diagram (variable q; J(unknot) = 1)."""
     from .diagrams import writhe
 
-    return bracket_to_jones(kauffman_bracket(d, mode), writhe(d))
+    return bracket_to_jones(kauffman_bracket(d), writhe(d))
 
 
 def skein_check(jp, jm, j0):

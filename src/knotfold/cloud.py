@@ -7,11 +7,10 @@ family-wide degree window aligned at the q^0 column.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from .errors import EmptyFamily, WindowOverflow
+from .errors import EmptyFamily
 from .laurent import LaurentPolynomial
 
 if TYPE_CHECKING:  # numpy loads in align, its one user
@@ -73,31 +72,11 @@ class CoefficientVector:
     def max_degree(self):
         return self.min_degree + len(self.coefficients) - 1
 
-    def to_polynomial(self):
-        return LaurentPolynomial.from_coeffs(
-            self.min_degree, list(self.coefficients), "q")
-
 
 def coeff_vector(p):
     """Dense window of a q-polynomial; raises HalfIntegerExponent."""
     lo, coeffs = p.int_coeffs()
     return CoefficientVector(lo, tuple(coeffs))
-
-
-def embed(row, min_degree, max_degree):
-    """Zero-pad a coefficient vector into a target degree window."""
-    if row.min_degree < min_degree or row.max_degree > max_degree:
-        raise WindowOverflow(
-            f"degrees [{row.min_degree}, {row.max_degree}] exceed the "
-            f"window [{min_degree}, {max_degree}]")
-    left = row.min_degree - min_degree
-    right = max_degree - row.max_degree
-    return (0,) * left + row.coefficients + (0,) * right
-
-
-def l2_norm(row):
-    """Euclidean norm of an integer coefficient row."""
-    return math.sqrt(sum(c * c for c in row))
 
 
 @dataclass(frozen=True)

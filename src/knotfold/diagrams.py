@@ -450,9 +450,3 @@ def parse_pd(text):
     if leftover:
         raise BadArcMultiplicity(f"unparsable PD fragment {leftover!r}")
     return PlanarDiagram(tuple(crossings))
-
-
-def serialize_pd(d):
-    """Emit the PD text form, crossings in ascending first-arc-label order."""
-    ordered = sorted(d.crossings, key=lambda cr: cr[0])
-    return " ".join("X({},{},{},{})".format(*cr) for cr in ordered)

@@ -45,10 +45,6 @@ class InexactDivision(KnotfoldError):
     pass
 
 
-class CapExceeded(KnotfoldError):
-    pass
-
-
 class WidthOverflow(KnotfoldError):
     pass
 
@@ -90,10 +86,6 @@ class InsufficientData(KnotfoldError):
 
 
 class NotSymmetric(KnotfoldError):
-    pass
-
-
-class DegenerateSpectrum(KnotfoldError):
     pass
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import InexactDivision, VariableMismatch
+from .errors import VariableMismatch
 
 QUARTER = 4  # stored exponent = QUARTER * actual exponent
 
@@ -66,11 +66,6 @@ class LaurentPolynomial:
         return cls({QUARTER * exponent: coeff}, var)
 
     @classmethod
-    def half_monomial(cls, coeff, half_exponent, var="q"):
-        """coeff * var**(half_exponent / 2)."""
-        return cls({2 * half_exponent: coeff}, var)
-
-    @classmethod
     def from_coeffs(cls, min_degree, coeffs, var="q"):
         """Inverse of int_coeffs: dense integer-degree coefficient window."""
         return cls({QUARTER * (min_degree + i): c for i, c in enumerate(coeffs)}, var)
@@ -89,10 +84,6 @@ class LaurentPolynomial:
 
     def max_exp4(self):
         return max(self.terms)
-
-    def coefficient(self, exponent):
-        """Coefficient of var**exponent (integer exponent)."""
-        return self.terms.get(QUARTER * exponent, 0)
 
     def int_coeffs(self):
         """Dense (min_degree, coefficients) window over whole exponents.
@@ -151,47 +142,10 @@ class LaurentPolynomial:
                     terms.pop(e, None)
         return LaurentPolynomial(terms, self.var)
 
-    def shift4(self, exp4):
-        """Multiply by var**(exp4/4)."""
-        return LaurentPolynomial({e + exp4: c for e, c in self.terms.items()}, self.var)
-
     def substitute_inverse(self):
         """var -> 1/var: negate every exponent."""
         return LaurentPolynomial._trusted(
             {-e: c for e, c in self.terms.items()}, self.var)
-
-    def exact_div(self, divisor):
-        """Exact synthetic division; raises InexactDivision on any remainder."""
-        self._check_var(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return LaurentPolynomial.zero(self.var)
-        # factor out monomials so both operands have min exponent 0, then
-        # run ordinary long division, which terminates when the remainder
-        # degree drops below the divisor degree
-        shift = min(self.terms) - min(divisor.terms)
-        div = {e - min(divisor.terms): c for e, c in divisor.terms.items()}
-        rem = {e - min(self.terms): c for e, c in self.terms.items()}
-        lead = max(div)
-        lead_c = div[lead]
-        quot = {}
-        while rem:
-            e = max(rem)
-            c = rem[e]
-            if e < lead or c % lead_c:
-                raise InexactDivision(f"{self} not divisible by {divisor}")
-            qe, qc = e - lead, c // lead_c
-            quot[qe] = qc
-            for de, dc in div.items():
-                k = qe + de
-                s = rem.get(k, 0) - qc * dc
-                if s:
-                    rem[k] = s
-                else:
-                    rem.pop(k, None)
-        return LaurentPolynomial._trusted(
-            {e + shift: c for e, c in quot.items()}, self.var)
 
     def __eq__(self, other):
         return (isinstance(other, LaurentPolynomial)
@@ -259,16 +213,3 @@ class LaurentPolynomial:
 
     def __repr__(self):
         return f"LaurentPolynomial({self.to_text()!r}, var={self.var!r})"
-
-
-def laurent_arith(a, b, op):
-    """Spec-surface arithmetic entry point: op in {'add', 'multiply'}."""
-    if op == "add":
-        return a + b
-    if op == "multiply":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def substitute_inverse(p):
-    return p.substitute_inverse()

@@ -18,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateSpectrum,
-    DimensionMismatch,
-    InsufficientData,
-    NotSymmetric,
-)
+from .errors import DimensionMismatch, InsufficientData, NotSymmetric
 
 
 class CovarianceAccumulator:
@@ -173,13 +168,6 @@ def sym_eig(k):
     return EigenSystem(lam, vec, normalized, np.cumsum(normalized))
 
 
-def normalized_variances(es):
-    """(lambda_bar, S_k) of an eigensystem; all-zero spectra are rejected."""
-    if not (es.eigenvalues > 0).any():
-        raise DegenerateSpectrum("spectrum has no positive eigenvalue")
-    return es.normalized, es.cumulative
-
-
 def dimension_estimate(normalized, threshold=0.95):
     """Smallest k whose cumulative explained variance reaches the threshold."""
     s = 0.0
@@ -198,44 +186,3 @@ def project(matrix, mean, es, k):
             f"cannot project shape {matrix.shape} onto {k} of {es.dim} axes")
     with _one_blas_thread():
         return (matrix - mean) @ es.eigenvectors[:, :k]
-
-
-class PrincipalComponentAnalysis:
-    """Estimator facade over the functional core (fit/transform style)."""
-
-    def __init__(self, n_components=None, variance_threshold=0.95):
-        self.n_components = n_components
-        self.variance_threshold = variance_threshold
-
-    def get_params(self):
-        return {"n_components": self.n_components,
-                "variance_threshold": self.variance_threshold}
-
-    def set_params(self, **params):
-        for key, value in params.items():
-            if key not in self.get_params():
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
-
-    def fit(self, x):
-        x = np.asarray(x, dtype=float)
-        acc = CovarianceAccumulator(x.shape[1]).add_block(x)
-        self.mean_ = acc.mean
-        self.n_samples_ = acc.count
-        es = sym_eig(acc.finalize())
-        self.eigensystem_ = es
-        self.components_ = es.eigenvectors.T
-        self.explained_variance_ = es.eigenvalues
-        self.explained_variance_ratio_ = es.normalized
-        self.cumulative_variance_ = es.cumulative
-        self.dimension_ = dimension_estimate(es.normalized,
-                                             self.variance_threshold)
-        return self
-
-    def transform(self, x):
-        k = self.n_components or self.eigensystem_.dim
-        return project(x, self.mean_, self.eigensystem_, k)
-
-    def fit_transform(self, x):
-        return self.fit(x).transform(x)

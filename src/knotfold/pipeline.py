@@ -40,6 +40,11 @@ from .signature import signature_from_diagram
 
 FORMATS = ("dt", "pd")
 
+# The metadata columns, each with the values it takes.
+_ALTERNATING = ("0", "1", "true", "false", "True", "False")
+_META_VALUES = {"sigma": "an even integer", "s": "an integer",
+                "alternating": f"one of {'/'.join(_ALTERNATING)}"}
+
 # Part of every cache key and of the cache header; see InvariantCache.
 SCHEMA_VERSION = 1
 _HEADER = f"knotfold invariant cache, schema {SCHEMA_VERSION}\n".encode()
@@ -70,13 +75,6 @@ class Dataset:
     records: tuple
     rejects: tuple  # (path, lineno, reason)
 
-    @property
-    def meta_columns(self):
-        cols = set()
-        for r in self.records:
-            cols.update(r.meta)
-        return sorted(cols)
-
 
 def _parse_line(line, lineno):
     try:
@@ -101,9 +99,19 @@ def _parse_line(line, lineno):
             continue
         key, _, value = extra.partition("=")
         key = key.strip()
-        if key not in ("sigma", "s", "alternating"):
+        if key not in _META_VALUES:
             raise UnknownFormat(f"unknown metadata column {key!r}")
-        meta[key] = value.strip()
+        value = value.strip()
+        try:
+            # a knot's signature is even
+            valid = (value in _ALTERNATING if key == "alternating"
+                     else int(value) % (2 if key == "sigma" else 1) == 0)
+        except ValueError:
+            valid = False
+        if not valid:
+            raise UnknownFormat(
+                f"{key} must be {_META_VALUES[key]}, got {value!r}")
+        meta[key] = value
     return RawRecord(rid, crossings, payload, meta, lineno)
 
 

@@ -1,0 +1,117 @@
+"""Slow reference implementations that the tests compare the library against.
+
+None of these runs on a production path: the package evaluates the bracket
+by its sweep alone and has no polynomial division.
+"""
+
+from knotfold.errors import InexactDivision, KnotfoldError, VariableMismatch
+from knotfold.laurent import LaurentPolynomial
+
+STATESUM_CAP = 24
+
+# Smoothing of a crossing (slots 0..3, CCW from the incoming under-strand):
+# the A-smoothing joins slots (0,1) and (2,3), the B-smoothing (0,3), (1,2).
+_A_PAIRS = ((0, 1), (2, 3))
+_B_PAIRS = ((0, 3), (1, 2))
+
+
+class CapExceeded(KnotfoldError):
+    """A diagram has more crossings than the state sum enumerates."""
+
+
+def shift(p, exp4):
+    """p times var**(exp4/4)."""
+    return LaurentPolynomial({e + exp4: c for e, c in p.terms.items()}, p.var)
+
+
+def bracket_statesum(d):
+    """Kauffman bracket by the exhaustive sum over all 2^n smoothings,
+    0-crossing unknot normalized to 1."""
+    n = d.n
+    if n > STATESUM_CAP:
+        raise CapExceeded(
+            f"{n} crossings exceeds the state-sum cap {STATESUM_CAP}")
+    delta = LaurentPolynomial({8: -1, -8: -1}, "A")  # -A^2 - A^-2
+    if n == 0:
+        out = LaurentPolynomial.one("A")
+        for _ in range(d.component_count - 1):
+            out = out * delta
+        return out
+    mate = d.dart_mate
+    arc_edges = [(a, b) for a, b in mate.items() if a < b]
+    darts = [(ci, s) for ci in range(n) for s in range(4)]
+    index = {dart: i for i, dart in enumerate(darts)}
+
+    total = LaurentPolynomial.zero("A")
+    delta_pows = {0: LaurentPolynomial.one("A")}
+
+    for state in range(1 << n):
+        parent = list(range(4 * n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        def union(x, y):
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[rx] = ry
+                return True
+            return False
+
+        loops = 4 * n  # darts; each union of distinct sets merges two
+        for a, b in arc_edges:
+            if union(index[a], index[b]):
+                loops -= 1
+        n_a = 0
+        for ci in range(n):
+            use_a = not (state >> ci) & 1
+            n_a += use_a
+            for s1, s2 in (_A_PAIRS if use_a else _B_PAIRS):
+                if union(index[(ci, s1)], index[(ci, s2)]):
+                    loops -= 1
+        k = loops - 1
+        if k not in delta_pows:
+            p = delta_pows[max(delta_pows)]
+            for j in range(max(delta_pows), k):
+                p = p * delta
+                delta_pows[j + 1] = p
+        total = total + shift(delta_pows[k], 4 * (2 * n_a - n))  # A^(n_a - n_b)
+    return total
+
+
+def exact_div(p, divisor):
+    """p / divisor by synthetic division; raises InexactDivision on any
+    remainder."""
+    if p.var != divisor.var:
+        raise VariableMismatch(f"{p.var} vs {divisor.var}")
+    if divisor.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    if p.is_zero():
+        return LaurentPolynomial.zero(p.var)
+    # factor out monomials so both operands have min exponent 0, then run
+    # ordinary long division, which terminates when the remainder degree
+    # drops below the divisor degree
+    offset = min(p.terms) - min(divisor.terms)
+    div = {e - min(divisor.terms): c for e, c in divisor.terms.items()}
+    rem = {e - min(p.terms): c for e, c in p.terms.items()}
+    lead = max(div)
+    lead_c = div[lead]
+    quot = {}
+    while rem:
+        e = max(rem)
+        c = rem[e]
+        if e < lead or c % lead_c:
+            raise InexactDivision(f"{p} not divisible by {divisor}")
+        qe, qc = e - lead, c // lead_c
+        quot[qe] = qc
+        for de, dc in div.items():
+            k = qe + de
+            s = rem.get(k, 0) - qc * dc
+            if s:
+                rem[k] = s
+            else:
+                rem.pop(k, None)
+    return LaurentPolynomial({e + offset: c for e, c in quot.items()}, p.var)

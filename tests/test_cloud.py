@@ -8,11 +8,9 @@ from knotfold.cloud import (
     align,
     canonical_orientation,
     coeff_vector,
-    embed,
-    l2_norm,
     mirror_record,
 )
-from knotfold.errors import EmptyFamily, HalfIntegerExponent, WindowOverflow
+from knotfold.errors import EmptyFamily, HalfIntegerExponent
 from knotfold.laurent import LaurentPolynomial
 
 from conftest import TABLE_CROSSINGS, TABLE_MATRIX, TABLE_POLYS
@@ -73,11 +71,13 @@ class TestCoeffVector:
 
     def test_rejects_half_exponents(self):
         with pytest.raises(HalfIntegerExponent):
-            coeff_vector(LaurentPolynomial.half_monomial(1, 1))
+            coeff_vector(LaurentPolynomial({2: 1}))
 
     def test_reconstruction_exact(self, table_polys):
         for p in table_polys.values():
-            assert coeff_vector(p).to_polynomial() == p
+            cv = coeff_vector(p)
+            assert LaurentPolynomial.from_coeffs(
+                cv.min_degree, cv.coefficients) == p
 
 
 class TestAlign:
@@ -121,30 +121,23 @@ class TestAlign:
             assert LaurentPolynomial(terms, "q") == table_polys[name]
 
 
-class TestEmbed:
-    def test_identity_window(self):
-        cv = coeff_vector(LaurentPolynomial.from_text(TABLE_POLYS["3_1"]))
-        assert embed(cv, cv.min_degree, cv.max_degree) == cv.coefficients
-
-    def test_padding_and_norm_preservation(self):
-        cv = coeff_vector(LaurentPolynomial.from_text(TABLE_POLYS["3_1"]))
-        row = embed(cv, -3, 7)
-        assert row == tuple(TABLE_MATRIX["3_1"])
-        assert l2_norm(row) == l2_norm(cv.coefficients)
-
-    def test_overflow(self):
-        cv = coeff_vector(LaurentPolynomial.from_text(TABLE_POLYS["5_1"]))
-        with pytest.raises(WindowOverflow):
-            embed(cv, 0, 5)
-
-
 class TestNorm:
+    """The row norms align computes, which the norm filtration reads."""
+
     def test_unknot(self):
-        assert l2_norm((1,)) == 1.0
+        cloud = align([("0_1", coeff_vector(LaurentPolynomial.one()), {})])
+        assert cloud.norms.tolist() == [1.0]
 
     def test_zero_row(self):
-        assert l2_norm((0, 0)) == 0.0
+        cloud = align([("z", CoefficientVector(0, (0, 0)), {})])
+        assert cloud.norms.tolist() == [0.0]
 
     def test_6_3(self):
-        assert l2_norm(tuple(TABLE_MATRIX["6_3"])) == pytest.approx(
-            math.sqrt(27))
+        # zero padding into the table's window leaves the norm unchanged
+        cv = coeff_vector(LaurentPolynomial.from_text(TABLE_POLYS["6_3"]))
+        alone = align([("6_3", cv, {})])
+        table = align([(name, coeff_vector(LaurentPolynomial.from_text(t)), {})
+                       for name, t in TABLE_POLYS.items()])
+        assert alone.width < table.width
+        assert alone.norms[0] == table.norms[table.row_ids.index("6_3")] \
+            == pytest.approx(math.sqrt(27))

@@ -19,7 +19,6 @@ from knotfold.diagrams import (
     parse_dt,
     parse_pd,
     realize_dt,
-    serialize_pd,
     writhe,
 )
 from knotfold.errors import (
@@ -78,11 +77,6 @@ class TestPDValidation:
     def test_bad_tuple_length(self):
         with pytest.raises(BadArcMultiplicity):
             PlanarDiagram(((1, 2, 3),))
-
-    def test_parse_serialize_roundtrip(self):
-        text = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
-        d = parse_pd(text)
-        assert serialize_pd(d) == text
 
     def test_pickle_and_copy(self):
         d = realize_dt(parse_dt("4 8 10 2 12 6"))

@@ -19,6 +19,8 @@ from knotfold.families import (
 from knotfold.laurent import LaurentPolynomial
 from knotfold.pipeline import generate_family
 
+from oracles import bracket_statesum, exact_div, shift
+
 
 def torus_oracle(m, n):
     """The classical closed form through validated polynomial arithmetic:
@@ -26,7 +28,7 @@ def torus_oracle(m, n):
     num = LaurentPolynomial({0: 1, 4 * (m + 1): -1, 4 * (n + 1): -1,
                              4 * (m + n): 1}, "q")
     den = LaurentPolynomial({0: 1, 8: -1}, "q")
-    return num.exact_div(den).shift4(2 * (m - 1) * (n - 1))
+    return shift(exact_div(num, den), 2 * (m - 1) * (n - 1))
 
 
 class TestTorusClosedForm:
@@ -115,8 +117,8 @@ class TestDoubleTwist:
                 if not 0 < m + n <= 10:
                     continue
                 d = double_twist_diagram(m, n)
-                assert double_twist_bracket(m, n) == \
-                    kauffman_bracket(d, "statesum"), (m, n)
+                assert double_twist_bracket(m, n) == bracket_statesum(d), \
+                    (m, n)
 
     def test_jones_matches_diagram(self):
         for m, n in ((1, 1), (1, 2), (3, 2), (4, 3), (2, 6)):
@@ -147,8 +149,8 @@ class TestDoubleTwist:
                 n = total - m
                 d = double_twist_diagram(m, n)
                 assert double_twist_writhe(m, n) == writhe(d), (m, n)
-                assert double_twist_bracket(m, n) == \
-                    kauffman_bracket(d, "sweep"), (m, n)
+                assert double_twist_bracket(m, n) == kauffman_bracket(d), \
+                    (m, n)
 
     def test_jones_matches_bracket_oracle_up_to_91(self):
         """The reindexed bracket list equals bracket_to_jones of the closed

@@ -110,6 +110,24 @@ def test_benchmark_hooks_resolve():
     assert not missing
 
 
+def test_benchmark_imports_resolve():
+    """Every name a perfbench script imports from the package exists."""
+    missing = []
+    for name in sorted(os.listdir(PERFBENCH)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(PERFBENCH, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "knotfold"):
+                module = importlib.import_module(node.module)
+                missing += [f"{name}: {node.module}.{alias.name}"
+                            for alias in node.names
+                            if not hasattr(module, alias.name)]
+    assert not missing
+
+
 def test_benchmark_calls_bind():
     """The calls perfbench/gate.py and perfbench/capture.py make to
     ingest, compute_batch and InvariantCache fit their signatures."""

@@ -2,17 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotfold.errors import (
-    DegenerateSpectrum,
-    DimensionMismatch,
-    InsufficientData,
-    NotSymmetric,
-)
+from knotfold.errors import DimensionMismatch, InsufficientData, NotSymmetric
 from knotfold.pca import (
     CovarianceAccumulator,
-    PrincipalComponentAnalysis,
     dimension_estimate,
-    normalized_variances,
     project,
     sym_eig,
 )
@@ -142,19 +135,20 @@ class TestSymEig:
 class TestVariances:
     def test_normalized(self):
         es = sym_eig(np.diag([3.0, 1.0]))
-        lam_bar, s = normalized_variances(es)
+        lam_bar, s = es.normalized, es.cumulative
         assert np.allclose(lam_bar, [0.75, 0.25])
         assert np.allclose(s, [0.75, 1.0])
         assert abs(s[-1] - 1.0) <= 1e-12
 
     def test_single_positive(self):
         es = sym_eig(np.diag([5.0, 0.0, 0.0]))
-        lam_bar, _ = normalized_variances(es)
-        assert np.allclose(lam_bar, [1, 0, 0])
+        assert np.allclose(es.normalized, [1, 0, 0])
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateSpectrum):
-            normalized_variances(sym_eig(np.zeros((2, 2))))
+        """A spectrum with no positive variance has zero shares, not NaN."""
+        es = sym_eig(np.zeros((2, 2)))
+        assert np.array_equal(es.normalized, [0, 0])
+        assert np.array_equal(es.cumulative, [0, 0])
 
 
 class TestDimension:
@@ -209,21 +203,3 @@ class TestProjection:
         es = sym_eig(acc.finalize())
         with pytest.raises(DimensionMismatch):
             project(x, acc.mean, es, 5)
-
-
-class TestEstimatorFacade:
-    def test_fit_transform(self):
-        x = np.random.default_rng(21).standard_normal((40, 8))
-        pca = PrincipalComponentAnalysis(n_components=3)
-        y = pca.fit_transform(x)
-        assert y.shape == (40, 3)
-        assert pca.dimension_ >= 1
-        assert abs(pca.cumulative_variance_[-1] - 1.0) <= 1e-12
-
-    def test_params_roundtrip(self):
-        pca = PrincipalComponentAnalysis()
-        pca.set_params(n_components=2, variance_threshold=0.9)
-        assert pca.get_params() == {"n_components": 2,
-                                    "variance_threshold": 0.9}
-        with pytest.raises(ValueError):
-            pca.set_params(bogus=1)

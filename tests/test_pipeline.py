@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import knotfold
 from knotfold.cli import main
-from knotfold.errors import (BadEnvironment, InexactDivision, KnotfoldError,
-                             Unreadable, UnknownFormat)
+from knotfold.errors import (BadEnvironment, KnotfoldError, Unreadable,
+                             UnknownFormat)
 from knotfold.pipeline import (
     AnalysisConfig,
     InvariantCache,
@@ -173,7 +173,24 @@ class TestIngest:
         p.write_text("k;3;4 6 2;sigma=-2;alternating=1\n")
         ds = ingest([str(p)])
         assert ds.records[0].meta == {"sigma": "-2", "alternating": "1"}
-        assert ds.meta_columns == ["alternating", "sigma"]
+
+    def test_bad_meta_values_are_quarantined(self, tmp_path):
+        """A metadata value that is not what the record claims to carry is
+        refused at ingest, never cached: a knot's signature is even."""
+        p = tmp_path / "m.dt"
+        p.write_text("odd;3;4 6 2;sigma=5\n"
+                     "yes;3;4 6 2;alternating=yes\n"
+                     "word;3;4 6 2;sigma=x\n"
+                     "frac;3;4 6 2;s=1.5\n"
+                     "ok;3;4 6 2;sigma=-2;s=3;alternating=False\n")
+        ds = ingest([str(p)])
+        assert [r.id for r in ds.records] == ["ok"]
+        assert [(lineno, reason) for _, lineno, reason in ds.rejects] == [
+            (1, "UnknownFormat: sigma must be an even integer, got '5'"),
+            (2, "UnknownFormat: alternating must be one of "
+                "0/1/true/false/True/False, got 'yes'"),
+            (3, "UnknownFormat: sigma must be an even integer, got 'x'"),
+            (4, "UnknownFormat: s must be an integer, got '1.5'")]
 
     def test_missing_file(self):
         with pytest.raises(Unreadable):
@@ -225,20 +242,32 @@ class TestComputeBatch:
         compute_batch(ds, InvariantCache(partial), workers=1)
         assert open(partial, "rb").read() == open(full, "rb").read()
 
-    def test_bracket_needs_no_division(self, tmp_path, monkeypatch):
-        """The sweep returns the bracket itself: with polynomial division
-        failing, a batch gives the same records and cache bytes."""
+    def test_bracket_needs_no_division(self, tmp_path):
+        """The sweep returns the bracket itself: LaurentPolynomial has no
+        division, and no package function named for one runs in a batch,
+        which gives the same records and cache bytes as an unwatched one."""
         from knotfold.laurent import LaurentPolynomial
 
+        assert [a for a in dir(LaurentPolynomial) if "div" in a] == []
         ds = ingest([FIXTURE_FILE])
         p1, p2 = str(tmp_path / "c1.txt"), str(tmp_path / "c2.txt")
         want = compute_batch(ds, InvariantCache(p1), workers=1)
 
-        def no_division(self, divisor):
-            raise InexactDivision("division is not used")
+        package = os.path.dirname(knotfold.__file__)
+        called = set()
 
-        monkeypatch.setattr(LaurentPolynomial, "exact_div", no_division)
-        assert compute_batch(ds, InvariantCache(p2), workers=1) == want
+        def watch(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                called.add(frame.f_code.co_name)
+
+        sys.setprofile(watch)
+        try:
+            got = compute_batch(ds, InvariantCache(p2), workers=1)
+        finally:
+            sys.setprofile(None)
+        assert "_bracket_sweep" in called
+        assert [name for name in called if "div" in name] == []
+        assert got == want
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
     def test_torn_last_line_resumes_to_same_bytes(self, tmp_path):
