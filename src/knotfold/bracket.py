@@ -12,8 +12,8 @@ paths of the involution.  A strand whose two slots carry the same label (a
 kink arc), or whose labels are the two ends of one path, closes a loop; any
 other strand joins the far ends of the paths at its labels, where a label
 with no path yet is its own far end.  A state's weight, a polynomial in A,
-is packed into one int by Kronecker substitution (see _bracket_sweep for
-the widths that keep the packing exact).  The sweep leaves out the first
+is packed into one int by Kronecker substitution (see kauffman_bracket
+for the widths that keep the packing exact).  The sweep leaves out the first
 loop that its last crossing closes, so its total is the bracket itself.
 """
 
@@ -29,11 +29,6 @@ SWEEP_STATE_BUDGET = 200_000
 # the A-smoothing joins slots (0,1) and (2,3), the B-smoothing (0,3), (1,2).
 _A_PAIRS = ((0, 1), (2, 3))
 _B_PAIRS = ((0, 3), (1, 2))
-
-
-def _delta():
-    """Bracket loop value: -A^2 - A^-2."""
-    return LaurentPolynomial.from_coeffs(-2, [-1, 0, 0, 0, -1], "A")
 
 
 def _sweep_order(d):
@@ -106,7 +101,7 @@ def _unpack(packed, bits, off):
     return LaurentPolynomial._trusted(terms, "A")
 
 
-def _bracket_sweep(d):
+def kauffman_bracket(d):
     """Bracket by the sweep, each state's weight packed into one int.
 
     A weight sum_e c_e A^e is the int sum_e c_e 2^(bits (e + off)), so
@@ -129,6 +124,7 @@ def _bracket_sweep(d):
     closes no loop it pairs two far ends, which only its second strand
     closing a path removes.  That loop is the normalized unknot, so the
     last crossing counts one loop fewer and the total is the bracket.
+    A diagram with no crossings keeps the start state, the unknot's 1.
     """
     n = d.n
     bits, off = 3 * n + 2, 5 * n
@@ -154,17 +150,6 @@ def _bracket_sweep(d):
     if list(states) != [closed]:
         raise SweepNotClosed("sweep did not close all strands")
     return _unpack(states[closed], bits, off)
-
-
-def kauffman_bracket(d):
-    """Kauffman bracket of a diagram, 0-crossing unknot normalized to 1."""
-    if d.n == 0:
-        delta = _delta()
-        out = LaurentPolynomial.one("A")
-        for _ in range(d.component_count - 1):
-            out = out * delta
-        return out
-    return _bracket_sweep(d)
 
 
 def bracket_to_jones(bracket, w):

@@ -8,8 +8,10 @@ import sys
 
 import click
 
+from .diagrams import DT_CONVENTIONS
 from .errors import BadEnvironment, KnotfoldError
 from .pipeline import (
+    FORMATS,
     AnalysisConfig,
     InvariantCache,
     compute_batch,
@@ -52,14 +54,12 @@ def main():
 @main.command("ingest")
 @click.argument("paths", nargs=-1, required=True,
                 type=click.Path(exists=True))
-@click.option("--format", "fmt", type=click.Choice(["dt", "pd"]),
+@click.option("--format", "fmt", type=click.Choice(FORMATS),
               default="dt", show_default=True)
-@click.option("--dt-sign-convention", type=click.Choice(["a", "b"]),
-              default="a", show_default=True)
 @_report_errors
-def ingest_cmd(paths, fmt, dt_sign_convention):
+def ingest_cmd(paths, fmt):
     """Parse dataset files and report record and reject counts."""
-    ds = ingest(paths, fmt, dt_sign_convention)
+    ds = ingest(paths, fmt)
     click.echo(f"digest {ds.digest}")
     click.echo(f"records {len(ds.records)} rejects {len(ds.rejects)}")
     for path, lineno, reason in ds.rejects:
@@ -69,9 +69,9 @@ def ingest_cmd(paths, fmt, dt_sign_convention):
 @main.command("compute")
 @click.argument("paths", nargs=-1, required=True,
                 type=click.Path(exists=True))
-@click.option("--format", "fmt", type=click.Choice(["dt", "pd"]),
+@click.option("--format", "fmt", type=click.Choice(FORMATS),
               default="dt", show_default=True)
-@click.option("--dt-sign-convention", type=click.Choice(["a", "b"]),
+@click.option("--dt-sign-convention", type=click.Choice(DT_CONVENTIONS),
               default="a", show_default=True)
 @click.option("--cache", type=click.Path(), required=True)
 @click.option("--workers", type=click.IntRange(min=1), default=None,
@@ -79,7 +79,7 @@ def ingest_cmd(paths, fmt, dt_sign_convention):
 @_report_errors
 def compute_cmd(paths, fmt, dt_sign_convention, cache, workers):
     """Compute canonicalized Jones invariants into the cache."""
-    ds = ingest(paths, fmt, dt_sign_convention)
+    ds = ingest(paths, fmt)
     store = InvariantCache(cache)
     records, failures = compute_batch(
         ds, store, workers, dt_sign_convention, max_failure_fraction=1.0)
@@ -112,7 +112,7 @@ def _load_records(cache_path, paths, fmt, convention, family, max_crossings):
                                           max_crossings)
         return records, [digest]
     store = InvariantCache(cache_path)  # path None -> in-memory only
-    ds = ingest(paths, fmt, convention)
+    ds = ingest(paths, fmt)
     records, _ = compute_batch(ds, store, convention=convention,
                                max_failure_fraction=1.0)
     return records, [ds.digest]
@@ -120,9 +120,9 @@ def _load_records(cache_path, paths, fmt, convention, family, max_crossings):
 
 @main.command("analyze")
 @click.argument("paths", nargs=-1, type=click.Path(exists=True))
-@click.option("--format", "fmt", type=click.Choice(["dt", "pd"]),
+@click.option("--format", "fmt", type=click.Choice(FORMATS),
               default="dt", show_default=True)
-@click.option("--dt-sign-convention", type=click.Choice(["a", "b"]),
+@click.option("--dt-sign-convention", type=click.Choice(DT_CONVENTIONS),
               default="a", show_default=True)
 @click.option("--family", type=click.Choice(["torus", "double-twist"]))
 @click.option("--max-crossings", type=click.IntRange(min=3), default=None)

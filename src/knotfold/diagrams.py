@@ -194,10 +194,6 @@ class PlanarDiagram:
         """
         return _orientation(self.n, self.dart_mate)
 
-    @property
-    def component_count(self):
-        return len(self.orientation[0])
-
     def crossing_signs(self):
         """Per-crossing sign: +1 when the over-strand enters at slot 3."""
         _, incoming = self.orientation
@@ -253,8 +249,6 @@ def from_even_under(crossings):
     turns out to enter at slot 2, so constructors can lay out tuples
     geometrically without solving for strand directions first.
     """
-    if not crossings:
-        return PlanarDiagram(())
     mate = _dart_mate(crossings)
     incoming = set()
     seen = set()
@@ -376,8 +370,6 @@ def realize_dt(code, convention="a"):
     """
     if convention not in DT_CONVENTIONS:
         raise ValueError(f"unknown DT sign convention {convention!r}")
-    if len(code) == 0:
-        return PlanarDiagram(())
     d = PlanarDiagram(
         _dt_crossing_tuples(code, _sense_vector(code), convention))
     # Planarity: V - E + F = 2 needs n + 2 faces.  Rotating a tuple keeps

@@ -101,8 +101,6 @@ def double_twist_diagram(m, n):
     """
     if m < 0 or n < 0:
         raise ValueError("twist parameters must be nonnegative")
-    if m == 0 and n == 0:
-        return PlanarDiagram(())
     labels = iter(range(1, 10 * (m + n) + 10))
     parent = {}
 

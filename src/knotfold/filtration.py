@@ -18,6 +18,7 @@ from .errors import WindowOverflow
 from .pca import CovarianceAccumulator, dimension_estimate, sym_eig
 
 TRACKED_COMPONENTS = 6
+PROJECTION_COMPONENTS = 3
 
 CLASS_FILTERS = ("all", "alternating", "nonalternating")
 
@@ -116,7 +117,6 @@ class StepSpectrum:
     dimension: int
     min_degree: int
     max_degree: int
-    radius: float = None
 
 
 def step_spectrum(step, variance_threshold=0.95):
@@ -133,7 +133,6 @@ def step_spectrum(step, variance_threshold=0.95):
         dimension=dimension_estimate(es.normalized, variance_threshold),
         min_degree=cloud.min_degree,
         max_degree=cloud.max_degree,
-        radius=step.radius,
     )
 
 

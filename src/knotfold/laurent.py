@@ -65,11 +65,6 @@ class LaurentPolynomial:
         """coeff * var**exponent with an integer exponent."""
         return cls({QUARTER * exponent: coeff}, var)
 
-    @classmethod
-    def from_coeffs(cls, min_degree, coeffs, var="q"):
-        """Inverse of int_coeffs: dense integer-degree coefficient window."""
-        return cls({QUARTER * (min_degree + i): c for i, c in enumerate(coeffs)}, var)
-
     # --- basic queries ---
 
     def is_zero(self):

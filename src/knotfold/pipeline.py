@@ -69,7 +69,6 @@ class RawRecord:
 
 @dataclass(frozen=True)
 class Dataset:
-    paths: tuple
     format: str
     digest: str
     records: tuple
@@ -120,7 +119,8 @@ def ingest(paths, format="dt", convention="a"):
 
     Results, failures and reports name records by id, so a line reusing
     the id of an earlier record, in the same file or an earlier one, is
-    quarantined too.
+    quarantined too.  ``convention`` is not read: parsing a DT code does
+    not depend on its sign convention.
     """
     if format not in FORMATS:
         raise UnknownFormat(f"unknown dataset format {format!r}")
@@ -157,8 +157,8 @@ def ingest(paths, format="dt", convention="a"):
                 continue
             first_seen[rec.id] = (path, lineno)
             records.append(rec)
-    return Dataset(tuple(paths), format, digest.hexdigest(),
-                   tuple(records), tuple(rejects))
+    return Dataset(format, digest.hexdigest(), tuple(records),
+                   tuple(rejects))
 
 
 def cache_key(*fields):
@@ -405,8 +405,6 @@ class AnalysisConfig:
     levels: int = 4
     bins: int = 20
     variance_threshold: float = 0.95
-    tracked: int = 6
-    projection_components: int = 3
 
     def to_dict(self):
         return dict(sorted(self.__dict__.items()))
@@ -474,15 +472,15 @@ def run_analysis(records, config, out_dir, digests=(), log=None):
                ("step", "component", "lambda_bar"),
                [(s.label, i + 1, float(s.eigensystem.normalized[i]))
                 for s in spectra
-                for i in range(min(config.tracked, s.ambient_dim))])
+                for i in range(min(F.TRACKED_COMPONENTS, s.ambient_dim))])
 
     if len(spectra) >= 2:
         _write_csv(os.path.join(out_dir, "angles.csv"),
                    ("step", "component", "theta"),
-                   F.angle_trajectory(spectra, config.tracked))
+                   F.angle_trajectory(spectra))
         _write_csv(os.path.join(out_dir, "spread.csv"),
                    ("component", "spread_percent"),
-                   F.spread_table(spectra, config.tracked))
+                   F.spread_table(spectra))
 
     last = next(s for s in reversed(steps) if not s.empty)
     edges, counts = F.norm_histogram(last.cloud, config.bins)
@@ -493,7 +491,7 @@ def run_analysis(records, config, out_dir, digests=(), log=None):
                     for b in range(len(series))])
 
     final = spectra[-1]
-    k = min(config.projection_components, final.ambient_dim)
+    k = min(F.PROJECTION_COMPONENTS, final.ambient_dim)
     coords = project(last.cloud.matrix, final.mean, final.eigensystem, k)
     _write_csv(os.path.join(out_dir, "projection.csv"),
                ("id",) + tuple(f"pc{i+1}" for i in range(k)) + ("sigma",),

@@ -34,7 +34,7 @@ def bracket_statesum(d):
     delta = LaurentPolynomial({8: -1, -8: -1}, "A")  # -A^2 - A^-2
     if n == 0:
         out = LaurentPolynomial.one("A")
-        for _ in range(d.component_count - 1):
+        for _ in range(len(d.orientation[0]) - 1):
             out = out * delta
         return out
     mate = d.dart_mate

@@ -23,7 +23,7 @@ from knotfold.bracket import (
     skein_check,
 )
 from knotfold.cloud import KnotRecord, align, canonical_orientation, coeff_vector
-from knotfold.diagrams import mirror, parse_dt, parse_pd, realize_dt, writhe
+from knotfold.diagrams import mirror, parse_pd, writhe
 from knotfold.families import (
     double_twist_diagram,
     jones_double_twist,
@@ -47,7 +47,7 @@ from knotfold.pipeline import (
     run_analysis,
 )
 
-from conftest import FIXTURE_FILE, TABLE_MATRIX, TABLE_POLYS
+from conftest import FIXTURE_FILE, TABLE_MATRIX
 from oracles import bracket_statesum
 
 DT13 = os.environ.get("KNOTFOLD_DT13")

@@ -13,7 +13,7 @@ from knotfold.cloud import (
 from knotfold.errors import EmptyFamily, HalfIntegerExponent
 from knotfold.laurent import LaurentPolynomial
 
-from conftest import TABLE_CROSSINGS, TABLE_MATRIX, TABLE_POLYS
+from conftest import TABLE_MATRIX, TABLE_POLYS
 
 
 def rec(jones_text, **kw):
@@ -76,8 +76,9 @@ class TestCoeffVector:
     def test_reconstruction_exact(self, table_polys):
         for p in table_polys.values():
             cv = coeff_vector(p)
-            assert LaurentPolynomial.from_coeffs(
-                cv.min_degree, cv.coefficients) == p
+            assert LaurentPolynomial(
+                {4 * (cv.min_degree + i): c
+                 for i, c in enumerate(cv.coefficients)}) == p
 
 
 class TestAlign:

@@ -4,7 +4,6 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from knotfold.bracket import jones
 from knotfold.diagrams import (
@@ -284,11 +283,11 @@ class TestMirror:
 class TestOrientation:
     def test_knots_are_single_component(self, fixture_diagrams):
         for name, d in fixture_diagrams.items():
-            assert d.component_count == 1
+            assert len(d.orientation[0]) == 1
 
     def test_hopf_link_two_components(self):
         d = parse_pd("X(1,3,2,4) X(3,1,4,2)")
-        assert d.component_count == 2
+        assert len(d.orientation[0]) == 2
 
     def test_crossing_signs_sum_to_writhe(self, fixture_diagrams):
         for name, d in fixture_diagrams.items():

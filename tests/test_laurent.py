@@ -39,7 +39,7 @@ class TestConstruction:
         assert not half.is_integral()
 
     def test_from_coeffs_roundtrip(self):
-        p = LaurentPolynomial.from_coeffs(-2, [1, 0, -3, 5])
+        p = poly({-2: 1, 0: -3, 1: 5})
         assert p.int_coeffs() == (-2, [1, 0, -3, 5])
 
 

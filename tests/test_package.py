@@ -1,6 +1,7 @@
 """The package root: its exports, and what importing it loads."""
 
 import ast
+import glob
 import importlib
 import importlib.util
 import inspect
@@ -21,6 +22,8 @@ from conftest import FIXTURE_FILE
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 README = os.path.join(ROOT, "README.md")
 PERFBENCH = os.path.join(ROOT, "perfbench")
+PACKAGE = os.path.dirname(os.path.abspath(knotfold.__file__))
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 # Runs in a fresh interpreter: argv is the fixture file and a scratch
 # directory holding an analyze bundle in "bundle".  Prints one JSON line
@@ -146,3 +149,41 @@ def test_benchmark_calls_bind():
                     *node.args, **{k.arg: k.value for k in node.keywords})
                 seen.add(node.func.id)
     assert seen == set(called)
+
+
+def _unused_imports(tree):
+    """Names a module imports but never reads: neither as a name in its
+    code or annotations (a TYPE_CHECKING import included) nor as an
+    entry of its ``__all__``."""
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            used.update(c.value for c in ast.walk(node.value)
+                        if isinstance(c, ast.Constant)
+                        and isinstance(c.value, str))
+    return [(line, name) for name, line in imported.items()
+            if name not in used]
+
+
+def test_no_unused_imports():
+    """Every name imported in the package and the tests is used."""
+    unused = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))
+                       + glob.glob(os.path.join(TESTS, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        unused += [f"{os.path.relpath(path, ROOT)}:{line} {name}"
+                   for line, name in _unused_imports(tree)]
+    assert not unused

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import os
-import shutil
 import subprocess
 import sys
 
@@ -11,8 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 import knotfold
 from knotfold.cli import main
+from knotfold.diagrams import parse_dt, realize_dt
 from knotfold.errors import (BadEnvironment, KnotfoldError, Unreadable,
                              UnknownFormat)
+from knotfold.families import jones_torus
+from knotfold.filtration import crossing_filtration
 from knotfold.pipeline import (
     AnalysisConfig,
     InvariantCache,
@@ -265,7 +267,7 @@ class TestComputeBatch:
             got = compute_batch(ds, InvariantCache(p2), workers=1)
         finally:
             sys.setprofile(None)
-        assert "_bracket_sweep" in called
+        assert "kauffman_bracket" in called
         assert [name for name in called if "div" in name] == []
         assert got == want
         assert open(p1, "rb").read() == open(p2, "rb").read()
@@ -428,6 +430,76 @@ class TestComputeOne:
         line = _compute_one(("k", "key", "dt", payload, "a", {}))
         assert line.startswith("k;key;") and ";!;" not in line
         assert calls == {"_dart_mate": 1, "_orientation": 1, "_faces": 1}
+
+
+def fixture_pd_text():
+    """The fixture dataset with each DT code replaced by the PD text of
+    its realized diagram; 0_1 gets an empty code."""
+    lines = []
+    with open(FIXTURE_FILE) as fh:
+        for line in fh:
+            if line.startswith("#"):
+                continue
+            rid, crossings, code = line.strip().split(";")
+            pd = " ".join("X({},{},{},{})".format(*cr)
+                          for cr in realize_dt(parse_dt(code)).crossings)
+            lines.append(f"{rid};{crossings};{pd}\n")
+    return "".join(lines)
+
+
+class TestPDDataset:
+    def test_same_records_as_dt(self, tmp_path):
+        p = tmp_path / "fixtures.pd"
+        p.write_text(fixture_pd_text())
+        ds = ingest([str(p)], "pd")
+        assert len(ds.records) == 8 and not ds.rejects
+        assert ds.records[0].payload == ""
+        got = compute_batch(ds, InvariantCache(None), workers=1)
+        want = compute_batch(ingest([FIXTURE_FILE]), InvariantCache(None),
+                             workers=1)
+        assert got == want and not got[1]
+
+    def test_cli_reports_malformed_line(self, tmp_path):
+        p = tmp_path / "fixtures.pd"
+        p.write_text(fixture_pd_text() + "bad;3;X(1,2,3)\n")
+        result = CliRunner().invoke(main, ["ingest", "--format", "pd", str(p)])
+        assert result.exit_code == 0
+        assert "records 8 rejects 1" in result.stdout
+        assert result.stderr.startswith(
+            f"reject {p}:9 BadArcMultiplicity: ")
+
+
+# 8_19, the torus knot T(3, 4): the smallest non-alternating knot.
+T34 = "8_19;8;4 8 -12 2 -14 -16 -6 -10"
+
+
+class TestNonAlternating:
+    def test_computed(self, tmp_path):
+        p = tmp_path / "t34.dt"
+        p.write_text(T34 + "\n")
+        (rec,), _ = compute_batch(ingest([str(p)]), InvariantCache(None),
+                                  workers=1)
+        assert rec.alternating is False and rec.sigma == 6
+        assert rec.jones == jones_torus(3, 4)
+
+    def test_alternating_override_is_cached(self, tmp_path):
+        p = tmp_path / "t34.dt"
+        p.write_text(T34 + ";alternating=1\n")
+        path = tmp_path / "cache.txt"
+        (rec,), _ = compute_batch(ingest([str(p)]), InvariantCache(str(path)),
+                                  workers=1)
+        assert rec.alternating is True
+        assert path.read_text().splitlines()[1].split(";")[4] == "1"
+
+    def test_nonalternating_filtration_step(self, tmp_path):
+        p = tmp_path / "ds.dt"
+        with open(FIXTURE_FILE) as fh:
+            p.write_text(fh.read() + T34 + "\n")
+        records, _ = compute_batch(ingest([str(p)]), InvariantCache(None),
+                                   workers=1)
+        steps = crossing_filtration(records, 3, 8, "nonalternating")
+        assert [s.label for s in steps if not s.empty] == ["8"]
+        assert steps[-1].cloud.row_ids == ("8_19",)
 
 
 class TestDefaultWorkers:
