@@ -34,7 +34,7 @@ from .diagrams import (
     writhe,
 )
 from .errors import KnotfoldError
-from .families import jones_double_twist, jones_torus
+from .families import family_cloud, jones_double_twist, jones_torus
 from .laurent import LaurentPolynomial
 from .pipeline import (
     AnalysisConfig,
@@ -56,6 +56,7 @@ _LAZY = {
         "eigensystem_trajectory",
         "norm_filtration",
         "norm_histogram",
+        "record_cloud",
         "relative_spread",
     ), "filtration"),
     **dict.fromkeys((
@@ -71,7 +72,7 @@ __all__ = sorted([
     "AlignedCloud", "AnalysisConfig", "CoefficientVector", "DTSequence",
     "InvariantCache", "KnotRecord", "KnotfoldError", "LaurentPolynomial",
     "PlanarDiagram", "align", "canonical_orientation", "coeff_vector",
-    "compute_batch", "dt_code", "generate_family", "ingest",
+    "compute_batch", "dt_code", "family_cloud", "generate_family", "ingest",
     "is_alternating", "jones", "jones_double_twist", "jones_torus",
     "kauffman_bracket", "mirror", "parse_dt", "parse_pd", "realize_dt",
     "run_analysis", "signature_from_diagram", "skein_check", "writhe",

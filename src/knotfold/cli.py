@@ -105,17 +105,22 @@ def generate_cmd(family, max_crossings, cache):
     click.echo(f"generated {len(records)} knots")
 
 
-def _load_records(cache_path, paths, fmt, convention, family, max_crossings):
+def _load_cloud(cache_path, paths, fmt, convention, family, max_crossings):
+    """The run's aligned cloud and dataset digests.  A family's cloud comes
+    straight from the closed forms, which is cheaper than reading it back
+    from a cache."""
     if family:
-        # recomputing from the closed forms is cheaper than reading back
-        digest, records = generate_family(family.replace("-", "_"),
-                                          max_crossings)
-        return records, [digest]
+        from .families import family_cloud
+
+        digest, cloud = family_cloud(family.replace("-", "_"), max_crossings)
+        return cloud, [digest]
+    from .filtration import record_cloud
+
     store = InvariantCache(cache_path)  # path None -> in-memory only
     ds = ingest(paths, fmt)
     records, _ = compute_batch(ds, store, convention=convention,
                                max_failure_fraction=1.0)
-    return records, [ds.digest]
+    return record_cloud(records), [ds.digest]
 
 
 @main.command("analyze")
@@ -155,14 +160,14 @@ def analyze_cmd(paths, fmt, dt_sign_convention, family, max_crossings,
     if not family and not paths:
         raise click.UsageError("need dataset paths or --family")
     make_report_dir(out)  # before any record is computed into --cache
-    records, digests = _load_records(cache, paths, fmt, dt_sign_convention,
-                                     family, max_crossings)
+    cloud, digests = _load_cloud(cache, paths, fmt, dt_sign_convention,
+                                 family, max_crossings)
     config = AnalysisConfig(
         filtration=filtration,
         class_filter=_CLASS_ALIASES[class_filter],
         k_min=kmin, k_max=kmax, levels=levels, bins=bins,
         variance_threshold=variance_threshold)
-    spectra = run_analysis(records, config, out, digests, log=sys.stderr)
+    spectra = run_analysis(cloud, config, out, digests, log=sys.stderr)
     for s in spectra:
         click.echo(f"step {s.label}: n={s.count} d={s.ambient_dim} "
                    f"dimension={s.dimension}")

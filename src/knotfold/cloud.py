@@ -1,8 +1,13 @@
 """Jones coefficient point clouds.
 
-Turns a family of knots into an integer matrix: pick one knot from each
-mirror pair, read off dense coefficient vectors, and zero-pad them into a
-family-wide degree window aligned at the q^0 column.
+Turns a family of knots into one integer matrix: pick one knot from each
+mirror pair, read off dense coefficient rows, and zero-pad them into a
+family-wide degree window aligned at the q^0 column.  Computed records
+go through align; the closed-form families write their rows straight into
+the matrix (families.family_cloud).  Both pick the mirror image by the
+one extreme-degree rule, prefers_mirror.  An analysis run builds one
+cloud, and its filtration steps and class filters are row and column
+slices of it.
 """
 
 from __future__ import annotations
@@ -54,11 +59,21 @@ def canonical_orientation(r):
         return r if r.s_invariant > 0 else mirror_record(r)
     if r.jones.is_zero():
         return r
-    lo, hi = r.jones.min_exp4(), r.jones.max_exp4()
+    if prefers_mirror(r.jones.min_exp4(), r.jones.max_exp4()):
+        return mirror_record(r)
+    return r
+
+
+def prefers_mirror(lo, hi):
+    """The extreme-degree rule: True when, of a polynomial spanning degrees
+    lo..hi, the extreme degree of largest absolute value is negative.
+
+    A tie |lo| = |hi|, a monomial included, keeps the input.  The rule is
+    the same in any unit of degree.
+    """
     if abs(lo) == abs(hi):
-        return r
-    extreme = lo if abs(lo) > abs(hi) else hi
-    return r if extreme > 0 else mirror_record(r)
+        return False
+    return (lo if abs(lo) > abs(hi) else hi) < 0
 
 
 @dataclass(frozen=True)
@@ -91,13 +106,35 @@ class AlignedCloud:
     norms: np.ndarray
     class_flags: tuple
     sigma_values: tuple
+    crossing_numbers: tuple
 
     @property
     def width(self):
         return self.max_degree - self.min_degree + 1
 
+    def row_spans(self):
+        """Each row's lowest and highest degree with a nonzero entry, as two
+        arrays; a zero row spans degree 0, as its coefficient vector does."""
+        import numpy as np
+
+        nonzero = self.matrix != 0
+        found = nonzero.any(axis=1)
+        lows = np.where(found, nonzero.argmax(axis=1) + self.min_degree, 0)
+        highs = np.where(
+            found, self.max_degree - nonzero[:, ::-1].argmax(axis=1), 0)
+        return lows, highs
+
+    def select(self, rows, spans=None):
+        """The given rows (ascending row indices, at least one), cut to the
+        degree window they span.  ``spans`` is this cloud's row_spans(),
+        for callers that select many times."""
+        lows, highs = spans or self.row_spans()
+        return self.subcloud(rows, int(lows[rows].min()),
+                             int(highs[rows].max()))
+
     def subcloud(self, rows, min_degree, max_degree):
-        """The given rows, in order, cut to [min_degree, max_degree].
+        """The given rows (ascending row indices), cut to [min_degree,
+        max_degree]; this cloud itself when that cuts nothing.
 
         The window must lie inside this cloud's, and every row must be zero
         outside it; the result then equals aligning those rows alone into
@@ -105,6 +142,10 @@ class AlignedCloud:
         squares is exact, whatever the zero padding, while it stays below
         2^53.
         """
+        if (len(rows) == len(self.row_ids)
+                and (min_degree, max_degree) == (self.min_degree,
+                                                 self.max_degree)):
+            return self
         start = min_degree - self.min_degree
         matrix = self.matrix[rows, start:start + max_degree - min_degree + 1]
         return AlignedCloud(
@@ -116,35 +157,48 @@ class AlignedCloud:
             norms=self.norms[rows],
             class_flags=tuple(self.class_flags[j] for j in rows),
             sigma_values=tuple(self.sigma_values[j] for j in rows),
+            crossing_numbers=tuple(self.crossing_numbers[j] for j in rows),
         )
 
 
-def align(family):
-    """Pad a family of (id, CoefficientVector, metadata) into a cloud.
+def dense_cloud(rows):
+    """Pad (id, min_degree, coefficients, alternating, sigma,
+    crossing_number) rows, in order, into one cloud.
 
-    Metadata is a mapping; keys ``alternating`` and ``sigma`` are carried
-    through per row when present.  Each row is written into one
-    preallocated int64 matrix; numpy raises OverflowError for any
-    coefficient outside int64.
+    Each row is written into one preallocated int64 matrix; numpy raises
+    OverflowError for any coefficient outside int64.
     """
     import numpy as np
 
-    family = list(family)
-    if not family:
+    rows = list(rows)
+    if not rows:
         raise EmptyFamily("cannot align an empty family")
-    lo = min(cv.min_degree for _, cv, _ in family)
-    hi = max(cv.max_degree for _, cv, _ in family)
-    matrix = np.zeros((len(family), hi - lo + 1), dtype=np.int64)
-    for row, (_, cv, _) in zip(matrix, family):
-        start = cv.min_degree - lo
-        row[start:start + len(cv.coefficients)] = cv.coefficients
+    lo = min(row[1] for row in rows)
+    hi = max(row[1] + len(row[2]) - 1 for row in rows)
+    matrix = np.zeros((len(rows), hi - lo + 1), dtype=np.int64)
+    for out, (_, start, coeffs, _, _, _) in zip(matrix, rows):
+        out[start - lo:start - lo + len(coeffs)] = coeffs
     return AlignedCloud(
-        row_ids=tuple(rid for rid, _, _ in family),
+        row_ids=tuple(row[0] for row in rows),
         matrix=matrix,
         q0_column=-lo,
         min_degree=lo,
         max_degree=hi,
         norms=np.sqrt((matrix.astype(float) ** 2).sum(axis=1)),
-        class_flags=tuple(meta.get("alternating") for _, _, meta in family),
-        sigma_values=tuple(meta.get("sigma") for _, _, meta in family),
+        class_flags=tuple(row[3] for row in rows),
+        sigma_values=tuple(row[4] for row in rows),
+        crossing_numbers=tuple(row[5] for row in rows),
     )
+
+
+def align(family):
+    """Pad a family of (id, CoefficientVector, metadata) into a cloud.
+
+    Metadata is a mapping; keys ``alternating``, ``sigma`` and
+    ``crossing_number`` are carried through per row when present.  See
+    dense_cloud.
+    """
+    return dense_cloud(
+        (rid, cv.min_degree, cv.coefficients, meta.get("alternating"),
+         meta.get("sigma"), meta.get("crossing_number"))
+        for rid, cv, meta in family)

@@ -3,17 +3,23 @@
 Torus knots use the classical closed form, whose exact division by
 1 - q^2 is a stride-2 prefix sum.  Double twist knots C(m, n) take their
 writhe and Kauffman bracket from closed forms in m, n and their parities.
-Both build their q-exponent dicts directly, at O(m + n) integer operations
-per member.  The diagram builders (torus_diagram, double_twist_diagram) are
-test oracles for these closed forms; no production path calls them.
+Each formula lives in one row function (torus_row, double_twist_row) that
+returns a member's dense coefficient list at O(m + n) integer operations.
+family_cloud writes those lists straight into an aligned cloud, which is
+what an analysis runs on; jones_torus and jones_double_twist wrap the same
+lists as polynomials for the records that `generate` caches.  The diagram
+builders (torus_diagram, double_twist_diagram) are test oracles for these
+closed forms; no production path calls them.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import gcd
 
+from .cloud import dense_cloud, prefers_mirror
 from .diagrams import PlanarDiagram, from_even_under
-from .errors import InexactDivision, NotAKnot
+from .errors import InexactDivision, NotAKnot, UnknownFormat
 from .laurent import QUARTER, LaurentPolynomial
 
 
@@ -22,9 +28,11 @@ def torus_crossing_number(m, n):
     return min(m * (n - 1), n * (m - 1))
 
 
-def jones_torus(m, n):
-    """Jones polynomial of the (m,n) torus knot.
+def torus_row(m, n):
+    """Jones polynomial of the (m,n) torus knot as (lo4, coefficients).
 
+    Coefficient k sits on the stored exponent lo4 + 4k, that is on
+    q^(lo4/4 + k); the first and last are nonzero.
     J = q^((m-1)(n-1)/2) (1 - q^(m+1) - q^(n+1) + q^(m+n)) / (1 - q^2).
     The quotient of P / (1 - q^2) is the stride-2 prefix sum
     Q_k = P_k + Q_(k-2); the division is exact iff the two sums past the
@@ -40,14 +48,23 @@ def jones_torus(m, n):
     quot[0] = quot[top] = 1
     quot[m + 1] -= 1
     quot[n + 1] -= 1
-    for k in range(2, top + 1):
-        quot[k] += quot[k - 2]
+    quot[0::2] = accumulate(quot[0::2])
+    quot[1::2] = accumulate(quot[1::2])
     if quot[top - 1] or quot[top]:
         raise InexactDivision(f"T({m},{n}) numerator not divisible by 1 - q^2")
-    shift = 2 * (m - 1) * (n - 1)  # q^((m-1)(n-1)/2) in quarter units
+    del quot[top - 1:]
+    return 2 * (m - 1) * (n - 1), quot  # q^((m-1)(n-1)/2) in quarter units
+
+
+def jones_torus(m, n):
+    """Jones polynomial of the (m,n) torus knot; see torus_row."""
+    return _polynomial(*torus_row(m, n))
+
+
+def _polynomial(lo4, coeffs):
+    """The q-polynomial of a (lo4, coefficients) row."""
     return LaurentPolynomial._trusted(
-        {shift + QUARTER * k: c for k, c in enumerate(quot[:top - 1]) if c},
-        "q")
+        {lo4 + QUARTER * k: c for k, c in enumerate(coeffs) if c}, "q")
 
 
 def torus_members(max_crossings):
@@ -173,21 +190,23 @@ def double_twist_members(max_crossings):
     return sorted(out, key=lambda mn: (mn[0] + mn[1], mn))
 
 
-def _double_twist_coeffs(m, n):
-    """Bracket coefficients of double_twist_diagram(m, n) on A^(4i - 3m - n).
+def _double_twist_coeffs(m, n, sign=1):
+    """sign times the bracket coefficients of double_twist_diagram(m, n),
+    entry i on A^(4i - 3m - n).
 
     The regions unroll to A^m [h] + b [v] and c [h] + A^-n [v], with b and c
     alternating series in A^4, and the delta = -A^2 - A^-2 products of the
     closure telescope.  Entry i, i = 0..m+n, is (-1)^(m+i) min(m, n, i,
     m+n-i), plus (-1)^m at i = 0, plus (-1)^n at i = m+n, minus 1 at i = m.
-    Entries may be zero.
+    Entries may be zero; for m, n >= 1 the two end entries are +-1.
     """
     k = min(m, n)  # min(m, n, i, m+n-i) ramps up to k, stays, ramps down
     coeffs = [*range(k), *[k] * (m + n + 1 - 2 * k), *range(k - 1, -1, -1)]
-    coeffs[1 - m % 2::2] = [-c for c in coeffs[1 - m % 2::2]]  # m + i odd
-    coeffs[0] += -1 if m % 2 else 1
-    coeffs[m + n] += -1 if n % 2 else 1
-    coeffs[m] -= 1
+    flip = (1 - m % 2 + (sign < 0)) % 2  # parity of i where sign (-1)^(m+i) < 0
+    coeffs[flip::2] = [-c for c in coeffs[flip::2]]
+    coeffs[0] += -sign if m % 2 else sign
+    coeffs[m + n] += -sign if n % 2 else sign
+    coeffs[m] -= sign
     return coeffs
 
 
@@ -216,18 +235,64 @@ def double_twist_writhe(m, n):
     return n - m
 
 
-def jones_double_twist(m, n):
-    """Jones polynomial of the positive double twist knot C(m, n).
+def double_twist_row(m, n):
+    """Jones polynomial of the positive double twist knot C(m, n) as
+    (lo4, coefficients), laid out as torus_row's.
 
     bracket_to_jones of the closed-form bracket and writhe, written out:
     (-A^3)^(-w) <D> with q = A^-4 puts bracket entry i on the stored
-    q-exponent 3w + 3m + n - 4i with sign (-1)^w.
+    q-exponent 3w + 3m + n - 4i with sign (-1)^w, so the row is the
+    signed bracket list reversed.
     """
     if m < 0 or n < 0:
         raise ValueError("twist parameters must be nonnegative")
     w = double_twist_writhe(m, n)
-    sign = -1 if w % 2 else 1
-    top = 3 * w + 3 * m + n
-    return LaurentPolynomial._trusted(
-        {top - 4 * i: sign * c
-         for i, c in enumerate(_double_twist_coeffs(m, n)) if c}, "q")
+    coeffs = _double_twist_coeffs(m, n, -1 if w % 2 else 1)
+    coeffs.reverse()
+    return 3 * w - m - 3 * n, coeffs
+
+
+def jones_double_twist(m, n):
+    """Jones polynomial of C(m, n); see double_twist_row."""
+    return _polynomial(*double_twist_row(m, n))
+
+
+def family_members(kind, limit):
+    """(digest, members) of the torus or double twist knots with crossing
+    number <= limit.
+
+    Members are (id, crossing_number, alternating, m, n) in generation
+    order: by crossing number, then (m, n).
+    """
+    if limit < 3:
+        raise ValueError("limit must be >= 3")
+    if kind == "torus":
+        members = [(f"T({m},{n})", torus_crossing_number(m, n), m == 2, m, n)
+                   for m, n in torus_members(limit)]
+    elif kind == "double_twist":
+        members = [(f"C({m},{n})", m + n, True, m, n)
+                   for m, n in double_twist_members(limit)]
+    else:
+        raise UnknownFormat(f"unknown family {kind!r}")
+    return f"{kind}-{limit}", members
+
+
+def family_cloud(kind, limit):
+    """(digest, cloud): the aligned cloud of a family, rows in id order.
+
+    Each member's row comes from its closed form and is written straight
+    into the cloud's matrix, reversed when prefers_mirror picks the
+    mirror image, so the cloud equals aligning generate_family's
+    canonicalized records, without a polynomial or record per member.
+    """
+    digest, members = family_members(kind, limit)
+    row_of = torus_row if kind == "torus" else double_twist_row
+    rows = []
+    for rid, crossings, alternating, m, n in sorted(members):
+        lo4, coeffs = row_of(m, n)
+        lo = lo4 // QUARTER  # a knot's exponents are whole
+        hi = lo + len(coeffs) - 1
+        if prefers_mirror(lo, hi):
+            lo, coeffs = -hi, coeffs[::-1]
+        rows.append((rid, lo, coeffs, alternating, None, crossings))
+    return digest, dense_cloud(rows)

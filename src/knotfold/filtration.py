@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import AlignedCloud, align, coeff_vector
-from .errors import WindowOverflow
+from .errors import EmptyFamily, WindowOverflow
 from .pca import CovarianceAccumulator, dimension_estimate, sym_eig
 
 TRACKED_COMPONENTS = 6
@@ -46,42 +46,53 @@ class FiltrationStep:
         return self.cloud is None
 
 
-def crossing_filtration(records, k_min, k_max, class_filter="all"):
-    """Nested clouds of records with crossing number <= k, k = k_min..k_max.
+def record_cloud(records):
+    """The cloud of computed records, in id order: each record's Jones
+    coefficient vector, aligned once, with its alternating flag, sigma and
+    crossing number."""
+    return align((r.id, coeff_vector(r.jones),
+                  {"alternating": r.alternating, "sigma": r.sigma,
+                   "crossing_number": r.crossing_number})
+                 for r in sorted(records, key=lambda r: r.id))
 
-    The records with crossing number <= k_max that pass the class filter
-    are aligned once, sorted by id.  Each step then takes the subset of
-    those rows with crossing number <= k and the column slice of the
-    degree window spanned by their coefficient vectors, so it equals
-    aligning that step alone.  Empty steps are reported with a None cloud
-    rather than raised.
+
+def class_rows(cloud, class_filter):
+    """Boolean mask of the cloud's rows that pass the class filter."""
+    return np.array([_class_match(f, class_filter) for f in cloud.class_flags],
+                    dtype=bool)
+
+
+def crossing_filtration(cloud, k_min, k_max, class_filter="all"):
+    """Nested clouds of the rows with crossing number <= k, k = k_min..k_max.
+
+    Steps come one at a time, in order, so a caller holds only the step it
+    works on.  Each is the subset of the cloud's rows that pass the class
+    filter and have crossing number <= k, cut to the degree window those
+    rows span, so it equals aligning that step alone.  Empty steps are
+    reported with a None cloud rather than raised.
     """
     if k_min > k_max:
         raise ValueError(f"k_min {k_min} exceeds k_max {k_max}")
-    chosen = sorted((r for r in records
-                     if r.crossing_number <= k_max
-                     and _class_match(r.alternating, class_filter)),
-                    key=lambda r: r.id)
-    if not chosen:
-        return [FiltrationStep(str(k), None) for k in range(k_min, k_max + 1)]
-    vectors = [coeff_vector(r.jones) for r in chosen]
-    cloud = align((r.id, cv, {"alternating": r.alternating, "sigma": r.sigma})
-                  for r, cv in zip(chosen, vectors))
-    crossings = np.array([r.crossing_number for r in chosen])
-    lows = np.array([cv.min_degree for cv in vectors])
-    highs = np.array([cv.max_degree for cv in vectors])
-    steps = []
-    for k in range(k_min, k_max + 1):
-        rows = np.flatnonzero(crossings <= k)
-        if len(rows) == len(chosen):
-            steps.append(FiltrationStep(str(k), cloud))
-        elif len(rows):
-            sub = cloud.subcloud(rows, int(lows[rows].min()),
-                                 int(highs[rows].max()))
-            steps.append(FiltrationStep(str(k), sub))
-        else:
-            steps.append(FiltrationStep(str(k), None))
-    return steps
+    chosen = class_rows(cloud, class_filter)
+    crossings = np.array(cloud.crossing_numbers)
+    spans = cloud.row_spans()
+
+    def steps():
+        for k in range(k_min, k_max + 1):
+            rows = np.flatnonzero(chosen & (crossings <= k))
+            yield FiltrationStep(
+                str(k), cloud.select(rows, spans) if len(rows) else None)
+
+    return steps()
+
+
+def class_cloud(cloud, class_filter):
+    """The cloud's rows that pass the class filter, cut to the degree window
+    they span; EmptyFamily when none does."""
+    rows = np.flatnonzero(class_rows(cloud, class_filter))
+    if not len(rows):
+        raise EmptyFamily("cannot align an empty family")
+    return cloud.select(rows)
 
 
 def norm_filtration(cloud, levels):

@@ -28,13 +28,7 @@ from .errors import (
     Unreadable,
     UnknownFormat,
 )
-from .families import (
-    double_twist_members,
-    jones_double_twist,
-    jones_torus,
-    torus_crossing_number,
-    torus_members,
-)
+from .families import family_members, jones_double_twist, jones_torus
 from .laurent import LaurentPolynomial
 from .signature import signature_from_diagram
 
@@ -170,10 +164,11 @@ def cache_key(*fields):
 
 def record_key(fmt, convention, rec):
     """A dataset record's key, over everything ``_compute_one`` reads: the
-    format, the DT sign convention, and the payload and metadata as
-    written.  The id and the dataset are not in it, so an unchanged record
-    keeps its key in edited and concatenated datasets."""
-    return cache_key(fmt, convention, rec.payload, sorted(rec.meta.items()))
+    format, the DT sign convention of a DT record, and the payload and
+    metadata as written.  The id and the dataset are not in it, so an
+    unchanged record keeps its key in edited and concatenated datasets."""
+    fields = (fmt, convention) if fmt == "dt" else (fmt,)
+    return cache_key(*fields, rec.payload, sorted(rec.meta.items()))
 
 
 class InvariantCache:
@@ -369,24 +364,15 @@ def generate_family(kind, limit, cache=None):
 
     Jones polynomials come from the closed forms; records are
     canonicalized and entered into the cache when one is supplied, each
-    keyed by its family and member id, whatever the limit.
+    keyed by its family and member id, whatever the limit.  An analysis
+    builds its cloud with families.family_cloud instead, without a record
+    per member.
     """
-    if limit < 3:
-        raise ValueError("limit must be >= 3")
-    digest = f"{kind}-{limit}"
-    records = []
-    if kind == "torus":
-        for m, n in torus_members(limit):
-            rec = KnotRecord(f"T({m},{n})", torus_crossing_number(m, n),
-                             jones_torus(m, n), alternating=(m == 2))
-            records.append(canonical_orientation(rec))
-    elif kind == "double_twist":
-        for m, n in double_twist_members(limit):
-            rec = KnotRecord(f"C({m},{n})", m + n, jones_double_twist(m, n),
-                             alternating=True)
-            records.append(canonical_orientation(rec))
-    else:
-        raise UnknownFormat(f"unknown family {kind!r}")
+    digest, members = family_members(kind, limit)
+    jones_of = jones_torus if kind == "torus" else jones_double_twist
+    records = [canonical_orientation(KnotRecord(rid, crossings, jones_of(m, n),
+                                                alternating=alternating))
+               for rid, crossings, alternating, m, n in members]
     if cache is not None:
         keys = [cache_key(kind, r.id) for r in records]
         cache.append([_result_line(r.id, key, r)
@@ -432,27 +418,27 @@ def make_report_dir(out_dir):
             f"cannot create report directory {out_dir}: {exc}") from None
 
 
-def run_analysis(records, config, out_dir, digests=(), log=None):
-    """Filtration + PCA + diagnostics; writes the report bundle.
+def run_analysis(cloud, config, out_dir, digests=(), log=None):
+    """Filtration + PCA + diagnostics over one aligned cloud; writes the
+    report bundle.
 
-    Returns the list of per-step spectra.  Every report byte is a
-    function of (records, config); timings go to the log stream only.
+    The cloud comes from filtration.record_cloud or families.family_cloud,
+    with each row's crossing number.  Steps are computed one at a time, so
+    only the current one is held.  Returns the list of per-step spectra.
+    Every report byte is a function of (cloud, config); timings go to the
+    log stream only.
     """
     from . import filtration as F
-    from .cloud import align, coeff_vector
     from .pca import project
 
     t0 = time.time()
     make_report_dir(out_dir)
     if config.filtration == "crossing":
-        steps = F.crossing_filtration(records, config.k_min, config.k_max,
+        steps = F.crossing_filtration(cloud, config.k_min, config.k_max,
                                       config.class_filter)
     elif config.filtration == "norm":
-        fam = [(r.id, coeff_vector(r.jones),
-                {"alternating": r.alternating, "sigma": r.sigma})
-               for r in sorted(records, key=lambda r: r.id)
-               if F._class_match(r.alternating, config.class_filter)]
-        steps = F.norm_filtration(align(fam), config.levels)
+        chosen = F.class_cloud(cloud, config.class_filter)
+        steps = F.norm_filtration(chosen, config.levels)
     else:
         raise UnknownFormat(f"unknown filtration {config.filtration!r}")
 
@@ -482,8 +468,14 @@ def run_analysis(records, config, out_dir, digests=(), log=None):
                    ("component", "spread_percent"),
                    F.spread_table(spectra))
 
-    last = next(s for s in reversed(steps) if not s.empty)
-    edges, counts = F.norm_histogram(last.cloud, config.bins)
+    # The last non-empty step is the top one: crossing number <= k_max, or
+    # the whole class-filtered cloud.
+    if config.filtration == "crossing":
+        last = next(F.crossing_filtration(cloud, config.k_max, config.k_max,
+                                          config.class_filter)).cloud
+    else:
+        last = chosen
+    edges, counts = F.norm_histogram(last, config.bins)
     for cls, series in counts.items():
         _write_csv(os.path.join(out_dir, f"histogram_{cls}.csv"),
                    ("bin_low", "bin_high", "count"),
@@ -492,19 +484,19 @@ def run_analysis(records, config, out_dir, digests=(), log=None):
 
     final = spectra[-1]
     k = min(F.PROJECTION_COMPONENTS, final.ambient_dim)
-    coords = project(last.cloud.matrix, final.mean, final.eigensystem, k)
+    coords = project(last.matrix, final.mean, final.eigensystem, k)
     _write_csv(os.path.join(out_dir, "projection.csv"),
                ("id",) + tuple(f"pc{i+1}" for i in range(k)) + ("sigma",),
-               [(last.cloud.row_ids[r],)
+               [(last.row_ids[r],)
                 + tuple(float(c) for c in coords[r])
-                + ("" if last.cloud.sigma_values[r] is None
-                   else str(last.cloud.sigma_values[r]),)
-                for r in range(len(last.cloud.row_ids))])
+                + ("" if last.sigma_values[r] is None
+                   else str(last.sigma_values[r]),)
+                for r in range(len(last.row_ids))])
 
     manifest = {
         "config": config.to_dict(),
         "dataset_digests": sorted(digests),
-        "record_count": len(records),
+        "record_count": len(cloud.row_ids),
         "steps": [{"label": s.label, "count": s.count,
                    "ambient_dim": s.ambient_dim, "dimension": s.dimension}
                   for s in spectra],

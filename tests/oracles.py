@@ -1,9 +1,11 @@
 """Slow reference implementations that the tests compare the library against.
 
 None of these runs on a production path: the package evaluates the bracket
-by its sweep alone and has no polynomial division.
+by its sweep alone, has no polynomial division, and builds family clouds
+without a polynomial or record per member.
 """
 
+from knotfold.cloud import align, coeff_vector
 from knotfold.errors import InexactDivision, KnotfoldError, VariableMismatch
 from knotfold.laurent import LaurentPolynomial
 
@@ -115,3 +117,27 @@ def exact_div(p, divisor):
             else:
                 rem.pop(k, None)
     return LaurentPolynomial({e + offset: c for e, c in quot.items()}, p.var)
+
+
+def records_cloud(records):
+    """align(coeff_vector(...)) over records sorted by id, each row with its
+    alternating flag, sigma and crossing number."""
+    return align([(r.id, coeff_vector(r.jones),
+                   {"alternating": r.alternating, "sigma": r.sigma,
+                    "crossing_number": r.crossing_number})
+                  for r in sorted(records, key=lambda r: r.id)])
+
+
+def assert_same_cloud(got, want, label=None):
+    """Two clouds hold the same rows: ids, matrix bytes and dtype, window,
+    norms, class flags, sigma values and crossing numbers."""
+    assert got.row_ids == want.row_ids, label
+    assert got.matrix.dtype == want.matrix.dtype, label
+    assert got.matrix.shape == want.matrix.shape, label
+    assert got.matrix.tobytes() == want.matrix.tobytes(), label
+    assert (got.min_degree, got.max_degree, got.q0_column) == \
+        (want.min_degree, want.max_degree, want.q0_column), label
+    assert got.norms.tobytes() == want.norms.tobytes(), label
+    assert got.class_flags == want.class_flags, label
+    assert got.sigma_values == want.sigma_values, label
+    assert got.crossing_numbers == want.crossing_numbers, label

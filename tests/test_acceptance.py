@@ -26,6 +26,7 @@ from knotfold.cloud import KnotRecord, align, canonical_orientation, coeff_vecto
 from knotfold.diagrams import mirror, parse_pd, writhe
 from knotfold.families import (
     double_twist_diagram,
+    family_cloud,
     jones_double_twist,
     torus_diagram,
 )
@@ -35,6 +36,7 @@ from knotfold.filtration import (
     eigensystem_trajectory,
     norm_filtration,
     norm_histogram,
+    record_cloud,
 )
 from knotfold.laurent import LaurentPolynomial
 from knotfold.pca import CovarianceAccumulator, dimension_estimate, sym_eig
@@ -48,7 +50,7 @@ from knotfold.pipeline import (
 )
 
 from conftest import FIXTURE_FILE, TABLE_MATRIX
-from oracles import bracket_statesum
+from oracles import assert_same_cloud, bracket_statesum, records_cloud
 
 DT13 = os.environ.get("KNOTFOLD_DT13")
 FULL_DOUBLE_TWIST = os.environ.get("KNOTFOLD_FULL_DOUBLE_TWIST")
@@ -70,12 +72,18 @@ def criterion(n):
     return deco
 
 
-def family_spectrum(records):
-    cloud = align([(r.id, coeff_vector(r.jones),
-                    {"alternating": r.alternating}) for r in records])
+def family_spectrum(cloud):
     acc = CovarianceAccumulator(cloud.matrix.shape[1])
     acc.add_block(cloud.matrix)
-    return cloud, sym_eig(acc.finalize())
+    return sym_eig(acc.finalize())
+
+
+def checked_family_cloud(kind, limit):
+    """family_cloud, asserted equal to aligning generate_family's records."""
+    _, cloud = family_cloud(kind, limit)
+    _, records = generate_family(kind, limit)
+    assert_same_cloud(cloud, records_cloud(records))
+    return cloud
 
 
 def dt13_records():
@@ -145,31 +153,29 @@ def test_criterion_4_evaluator_equivalence(fixture_diagrams):
 @criterion(5)
 def test_criterion_5_torus_reproduction():
     t0 = time.time()
-    _, records = generate_family("torus", 2000)
-    assert len(records) == 4501
-    cloud, es = family_spectrum(records)
+    cloud = checked_family_cloud("torus", 2000)
+    assert len(cloud.row_ids) == 4501
+    es = family_spectrum(cloud)
     assert cloud.matrix.shape[1] == 2998
     assert es.cumulative[24] > 0.95  # S_25; S_24 deliberately not asserted
     assert time.time() - t0 < 1800.0
-    del records, cloud, es
+    del cloud, es
     gc.collect()
 
 
 @criterion(6)
 def test_criterion_6_double_twist_reduced():
-    _, records = generate_family("double_twist", 301)
-    _, es = family_spectrum(records)
+    es = family_spectrum(checked_family_cloud("double_twist", 301))
     s3, s4 = float(es.cumulative[2]), float(es.cumulative[3])
     assert s4 >= s3
     # heavy head: the first handful of components carry most variance
     assert s4 > 0.9
     assert es.normalized[0] == es.normalized.max()
     if FULL_DOUBLE_TWIST:
-        _, records = generate_family("double_twist", 2001)
-        _, es = family_spectrum(records)
+        es = family_spectrum(family_cloud("double_twist", 2001)[1])
         assert float(es.cumulative[3]) > 0.969 - 0.01
         assert abs(float(es.cumulative[2]) - 0.948) <= 0.01
-    del records, es
+    del es
     gc.collect()
 
 
@@ -177,7 +183,7 @@ def test_criterion_6_double_twist_reduced():
 def test_criterion_7_crossing_filtration_dt13():
     t0 = time.time()
     records = dt13_records()
-    steps = crossing_filtration(records, 11, 13)
+    steps = crossing_filtration(record_cloud(records), 11, 13)
     spectra = eigensystem_trajectory(steps)
     assert [s.label for s in spectra] == ["11", "12", "13"]
     for s in spectra:
@@ -218,7 +224,7 @@ def test_criterion_8_property_suite(fixture_diagrams, tmp_path):
     records = [KnotRecord(n, d.n, jones(d), alternating=True)
                for n, d in fixture_diagrams.items()]
     records = [canonical_orientation(r) for r in records]
-    steps = crossing_filtration(records, 4, 6)
+    steps = list(crossing_filtration(record_cloud(records), 4, 6))
     spectra = eigensystem_trajectory(steps)
     for _, _, theta in angle_trajectory(spectra):
         assert 0.0 <= theta <= math.pi / 2 + 1e-12
@@ -249,7 +255,8 @@ def test_criterion_8_property_suite(fixture_diagrams, tmp_path):
         assert not failures
         caches.append(open(cpath, "rb").read())
         out = str(tmp_path / f"rep_{workers}")
-        run_analysis(recs, AnalysisConfig(), out, digests=[ds.digest])
+        run_analysis(record_cloud(recs), AnalysisConfig(), out,
+                     digests=[ds.digest])
         bundles.append({name: open(os.path.join(out, name), "rb").read()
                         for name in sorted(os.listdir(out))})
     assert caches[0] == caches[1]

@@ -9,6 +9,7 @@ from knotfold.cloud import (
     canonical_orientation,
     coeff_vector,
     mirror_record,
+    prefers_mirror,
 )
 from knotfold.errors import EmptyFamily, HalfIntegerExponent
 from knotfold.laurent import LaurentPolynomial
@@ -43,6 +44,13 @@ class TestCanonicalOrientation:
         r0 = rec(TABLE_POLYS["4_1"])
         assert canonical_orientation(r0) is r0
 
+    def test_non_palindromic_tie_unchanged(self):
+        """|lo| = |hi| keeps whichever side is given, even when the two
+        sides differ."""
+        for text in ("1*q^-2 + 2*q^2", "2*q^-2 + 1*q^2", "1*q^-3"):
+            r0 = rec(text)
+            assert canonical_orientation(r0) is r0
+
     def test_idempotent(self):
         r = canonical_orientation(rec("1*q^-5 + 1*q^2", sigma=-4))
         assert canonical_orientation(r) is r
@@ -52,6 +60,29 @@ class TestCanonicalOrientation:
         a = canonical_orientation(r0)
         b = canonical_orientation(mirror_record(r0))
         assert a.jones == b.jones and a.sigma == b.sigma
+
+
+class TestPrefersMirror:
+    """The extreme-degree rule shared by canonical_orientation and the
+    family clouds."""
+
+    def test_ties_keep(self):
+        for lo in range(-6, 1):
+            assert not prefers_mirror(lo, -lo)
+            assert not prefers_mirror(lo, lo)  # a monomial
+
+    def test_largest_extreme_decides(self):
+        assert prefers_mirror(-3, 2) and prefers_mirror(-5, -1)
+        assert not prefers_mirror(-2, 3) and not prefers_mirror(1, 5)
+
+    def test_matches_written_out_rule(self):
+        for lo in range(-6, 7):
+            for hi in range(lo, 7):
+                if abs(lo) == abs(hi):
+                    want = False
+                else:
+                    want = (lo if abs(lo) > abs(hi) else hi) < 0
+                assert prefers_mirror(lo, hi) == want, (lo, hi)
 
 
 class TestCoeffVector:

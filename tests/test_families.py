@@ -3,13 +3,15 @@ import pytest
 from knotfold import diagrams, families
 from knotfold.bracket import bracket_to_jones, jones, kauffman_bracket
 from knotfold.diagrams import is_alternating, writhe
-from knotfold.errors import InexactDivision, NotAKnot
+from knotfold.errors import InexactDivision, NotAKnot, UnknownFormat
 from knotfold.families import (
     double_twist_bracket,
     double_twist_diagram,
     double_twist_is_knot,
     double_twist_members,
     double_twist_writhe,
+    family_cloud,
+    family_members,
     jones_double_twist,
     jones_torus,
     torus_crossing_number,
@@ -19,7 +21,8 @@ from knotfold.families import (
 from knotfold.laurent import LaurentPolynomial
 from knotfold.pipeline import generate_family
 
-from oracles import bracket_statesum, exact_div, shift
+from oracles import (assert_same_cloud, bracket_statesum, exact_div,
+                     records_cloud, shift)
 
 
 def torus_oracle(m, n):
@@ -188,3 +191,44 @@ class TestDoubleTwist:
         monkeypatch.setattr(families, "from_even_under", refuse)
         monkeypatch.setattr(diagrams, "from_even_under", refuse)
         assert generate_family("double_twist", 40) == expected
+
+
+class TestFamilyCloud:
+    """The cloud written straight from the closed forms equals aligning the
+    canonicalized records, at the benchmark's family sizes."""
+
+    @pytest.mark.parametrize("kind, limit", [("torus", 300),
+                                             ("double_twist", 91)])
+    def test_matches_records(self, kind, limit):
+        digest, cloud = family_cloud(kind, limit)
+        want_digest, records = generate_family(kind, limit)
+        assert digest == want_digest
+        assert_same_cloud(cloud, records_cloud(records))
+
+    def test_rows_in_id_order(self):
+        _, cloud = family_cloud("double_twist", 12)
+        assert list(cloud.row_ids) == sorted(cloud.row_ids)
+        assert cloud.row_ids[:3] == ("C(1,10)", "C(1,2)", "C(1,4)")
+        assert cloud.sigma_values == (None,) * len(cloud.row_ids)
+
+    def test_tie_rows_unmirrored(self):
+        """C(2k, 2k) spans degrees -2k..2k, a tie of the mirror rule: its
+        row is the closed form's, as canonical_orientation keeps it."""
+        _, cloud = family_cloud("double_twist", 12)
+        for k in (1, 2, 3):
+            rid = f"C({2 * k},{2 * k})"
+            row = cloud.matrix[cloud.row_ids.index(rid)]
+            nonzero = [int(c) for c in row if c]
+            assert nonzero == [c for c in jones_double_twist(2 * k, 2 * k)
+                               .int_coeffs()[1] if c], rid
+            assert row[cloud.q0_column - 2 * k] and \
+                row[cloud.q0_column + 2 * k], rid
+
+    def test_members_and_bad_inputs(self):
+        assert family_members("torus", 7) == ("torus-7", [
+            ("T(2,3)", 3, True, 2, 3), ("T(2,5)", 5, True, 2, 5),
+            ("T(2,7)", 7, True, 2, 7)])
+        with pytest.raises(ValueError):
+            family_cloud("torus", 2)
+        with pytest.raises(UnknownFormat):
+            family_cloud("pretzel", 7)

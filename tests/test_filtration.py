@@ -6,6 +6,7 @@ import pytest
 from knotfold import filtration
 from knotfold.cloud import AlignedCloud, KnotRecord, align, coeff_vector
 from knotfold.errors import WindowOverflow
+from knotfold.families import family_cloud
 from knotfold.filtration import (
     CLASS_FILTERS,
     FiltrationStep,
@@ -16,6 +17,7 @@ from knotfold.filtration import (
     embed_direction,
     norm_filtration,
     norm_histogram,
+    record_cloud,
     relative_spread,
     spread_table,
     step_spectrum,
@@ -25,12 +27,19 @@ from knotfold.pipeline import (InvariantCache, compute_batch, generate_family,
                                ingest)
 
 from conftest import FIXTURE_FILE, TABLE_CROSSINGS, TABLE_POLYS
+from oracles import assert_same_cloud
 
 
 def fixture_records():
     return [KnotRecord(name, TABLE_CROSSINGS[name],
                        LaurentPolynomial.from_text(text), alternating=True)
             for name, text in TABLE_POLYS.items()]
+
+
+def steps_of(records, k_min, k_max, class_filter="all"):
+    """The crossing filtration of the records' cloud, as a list."""
+    return list(crossing_filtration(record_cloud(records), k_min, k_max,
+                                    class_filter))
 
 
 def staircase_cloud(n=8):
@@ -53,6 +62,7 @@ def make_cloud(matrix):
         norms=np.sqrt((matrix.astype(float) ** 2).sum(axis=1)),
         class_flags=(True,) * n,
         sigma_values=(None,) * n,
+        crossing_numbers=(0,) * n,
     )
 
 
@@ -68,7 +78,8 @@ def per_step_filtration(records, k_min, k_max, class_filter="all"):
             steps.append(FiltrationStep(str(k), None))
             continue
         fam = [(r.id, coeff_vector(r.jones),
-                {"alternating": r.alternating, "sigma": r.sigma})
+                {"alternating": r.alternating, "sigma": r.sigma,
+                 "crossing_number": r.crossing_number})
                for r in chosen]
         steps.append(FiltrationStep(str(k), align(fam)))
     return steps
@@ -78,18 +89,8 @@ def assert_same_steps(got, want):
     assert [s.label for s in got] == [s.label for s in want]
     for g, w in zip(got, want):
         assert g.empty == w.empty, g.label
-        if w.empty:
-            continue
-        a, b = g.cloud, w.cloud
-        assert a.matrix.dtype == b.matrix.dtype, g.label
-        assert a.matrix.shape == b.matrix.shape, g.label
-        assert a.matrix.tobytes() == b.matrix.tobytes(), g.label
-        assert (a.min_degree, a.max_degree, a.q0_column) == \
-            (b.min_degree, b.max_degree, b.q0_column), g.label
-        assert a.row_ids == b.row_ids, g.label
-        assert a.norms.tobytes() == b.norms.tobytes(), g.label
-        assert a.class_flags == b.class_flags, g.label
-        assert a.sigma_values == b.sigma_values, g.label
+        if not w.empty:
+            assert_same_cloud(g.cloud, w.cloud, g.label)
 
 
 class TestCrossingFiltrationMatchesPerStep:
@@ -99,12 +100,19 @@ class TestCrossingFiltrationMatchesPerStep:
         ds = ingest([FIXTURE_FILE])
         records, _ = compute_batch(ds, InvariantCache(None), workers=1)
         for cls in CLASS_FILTERS:
-            assert_same_steps(crossing_filtration(records, -1, 6, cls),
+            assert_same_steps(steps_of(records, -1, 6, cls),
                               per_step_filtration(records, -1, 6, cls))
 
     def test_double_twist_family(self):
         _, records = generate_family("double_twist", 40)
-        assert_same_steps(crossing_filtration(records, 10, 40),
+        assert_same_steps(steps_of(records, 10, 40),
+                          per_step_filtration(records, 10, 40))
+
+    def test_double_twist_family_cloud(self):
+        """The closed-form family cloud filters like its records."""
+        _, records = generate_family("double_twist", 40)
+        _, cloud = family_cloud("double_twist", 40)
+        assert_same_steps(list(crossing_filtration(cloud, 10, 40)),
                           per_step_filtration(records, 10, 40))
 
     def test_constant_jones(self):
@@ -112,7 +120,7 @@ class TestCrossingFiltrationMatchesPerStep:
         records = [KnotRecord("c", 2, LaurentPolynomial.one("q"),
                               alternating=False, sigma=0)]
         records += fixture_records()
-        assert_same_steps(crossing_filtration(records, 0, 6),
+        assert_same_steps(steps_of(records, 0, 6),
                           per_step_filtration(records, 0, 6))
 
     def test_aligns_once(self, monkeypatch):
@@ -123,24 +131,42 @@ class TestCrossingFiltrationMatchesPerStep:
             return align(family)
 
         monkeypatch.setattr(filtration, "align", counting_align)
-        crossing_filtration(fixture_records(), 3, 6)
+        list(crossing_filtration(record_cloud(fixture_records()), 3, 6))
         assert len(calls) == 1
 
 
 class TestCrossingFiltration:
+    def test_steps_come_one_at_a_time(self, monkeypatch):
+        """Each step is cut from the cloud only when it is asked for, so a
+        caller holds one step's matrix at a time."""
+        cloud = record_cloud(fixture_records())
+        cuts = []
+        subcloud = AlignedCloud.subcloud
+
+        def counted(self, *args):
+            cuts.append(args[1:])
+            return subcloud(self, *args)
+
+        monkeypatch.setattr(AlignedCloud, "subcloud", counted)
+        steps = crossing_filtration(cloud, 3, 6)
+        assert cuts == []
+        assert len(next(steps).cloud.row_ids) == 2 and cuts == [(0, 4)]
+        assert [len(s.cloud.row_ids) for s in steps] == [3, 5, 8]
+        assert len(cuts) == 4
+
     def test_step_sizes(self):
-        steps = crossing_filtration(fixture_records(), 3, 6)
+        steps = steps_of(fixture_records(), 3, 6)
         assert [s.label for s in steps] == ["3", "4", "5", "6"]
         assert [len(s.cloud.row_ids) for s in steps] == [2, 3, 5, 8]
 
     def test_nesting(self):
-        steps = crossing_filtration(fixture_records(), 3, 6)
+        steps = steps_of(fixture_records(), 3, 6)
         for prev, cur in zip(steps, steps[1:]):
             assert set(prev.cloud.row_ids) <= set(cur.cloud.row_ids)
 
     def test_rows_agree_across_steps(self):
         """A knot's embedded row is the same in every window containing it."""
-        steps = crossing_filtration(fixture_records(), 5, 6)
+        steps = steps_of(fixture_records(), 5, 6)
         small, large = steps[0].cloud, steps[1].cloud
         shift = small.min_degree - large.min_degree
         for i, name in enumerate(small.row_ids):
@@ -150,22 +176,23 @@ class TestCrossingFiltration:
                                   large.matrix[j, shift:shift + w]), name
 
     def test_empty_steps_reported(self):
-        steps = crossing_filtration(fixture_records(), 1, 3,
+        steps = steps_of(fixture_records(), 1, 3,
                                     class_filter="nonalternating")
         assert all(s.empty for s in steps)
 
     def test_class_filter(self):
-        steps = crossing_filtration(fixture_records(), 6, 6,
+        steps = steps_of(fixture_records(), 6, 6,
                                     class_filter="alternating")
         assert len(steps[0].cloud.row_ids) == 8
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
-            crossing_filtration(fixture_records(), 5, 4)
+            crossing_filtration(record_cloud(fixture_records()), 5, 4)
 
     def test_bad_class_filter(self):
         with pytest.raises(ValueError):
-            crossing_filtration(fixture_records(), 3, 3, class_filter="odd")
+            crossing_filtration(record_cloud(fixture_records()), 3, 3,
+                                class_filter="odd")
 
 
 class TestNormFiltration:
@@ -203,7 +230,7 @@ class TestNormFiltration:
 
 class TestSpectra:
     def test_step_spectrum_fields(self):
-        step = crossing_filtration(fixture_records(), 6, 6)[0]
+        step = steps_of(fixture_records(), 6, 6)[0]
         spec = step_spectrum(step)
         assert spec.count == 8 and spec.ambient_dim == 11
         assert 1 <= spec.dimension <= 11
@@ -211,7 +238,7 @@ class TestSpectra:
 
     def test_trajectory_skips_empty(self):
         records = [r for r in fixture_records() if r.crossing_number >= 5]
-        steps = crossing_filtration(records, 4, 6)
+        steps = steps_of(records, 4, 6)
         assert steps[0].empty
         specs = eigensystem_trajectory(steps)
         assert [s.label for s in specs] == ["5", "6"]
@@ -234,12 +261,12 @@ class TestEmbedDirection:
 
 class TestAngles:
     def test_self_angle_zero(self):
-        spec = step_spectrum(crossing_filtration(fixture_records(), 6, 6)[0])
+        spec = step_spectrum(steps_of(fixture_records(), 6, 6)[0])
         for _, _, theta in angle_trajectory([spec, spec]):
             assert theta <= 1e-8
 
     def test_range_and_labels(self):
-        steps = crossing_filtration(fixture_records(), 4, 6)
+        steps = steps_of(fixture_records(), 4, 6)
         rows = angle_trajectory(eigensystem_trajectory(steps), tracked=3)
         labels = {label for label, _, _ in rows}
         assert labels == {"4->5", "5->6"}
@@ -268,7 +295,7 @@ class TestSpread:
             relative_spread([])
 
     def test_table_shape(self):
-        steps = crossing_filtration(fixture_records(), 4, 6)
+        steps = steps_of(fixture_records(), 4, 6)
         table = spread_table(eigensystem_trajectory(steps), tracked=4)
         assert [i for i, _ in table] == [1, 2, 3, 4]
         assert all(v >= 0 for _, v in table)

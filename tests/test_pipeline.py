@@ -14,7 +14,7 @@ from knotfold.diagrams import parse_dt, realize_dt
 from knotfold.errors import (BadEnvironment, KnotfoldError, Unreadable,
                              UnknownFormat)
 from knotfold.families import jones_torus
-from knotfold.filtration import crossing_filtration
+from knotfold.filtration import crossing_filtration, record_cloud
 from knotfold.pipeline import (
     AnalysisConfig,
     InvariantCache,
@@ -28,6 +28,7 @@ from knotfold.pipeline import (
 )
 
 from conftest import FIXTURE_FILE, TABLE_POLYS
+from oracles import records_cloud
 
 
 # Two DT codes with valid syntax that admit no planar embedding.
@@ -459,6 +460,32 @@ class TestPDDataset:
                              workers=1)
         assert got == want and not got[1]
 
+    def test_convention_not_in_the_key(self, tmp_path, monkeypatch):
+        """Computing a PD record does not read the DT sign convention, so a
+        convention-b run on a cache written under convention a computes
+        nothing and appends nothing."""
+        p, cache = tmp_path / "fixtures.pd", tmp_path / "cache.txt"
+        p.write_text(fixture_pd_text())
+        args = ["compute", "--format", "pd", str(p), "--cache", str(cache),
+                "--workers", "1", "--dt-sign-convention"]
+        first = CliRunner().invoke(main, args + ["a"])
+        assert first.exit_code == 0, first.output
+        written = cache.read_bytes()
+        calls = count_compute_one(monkeypatch)
+        second = CliRunner().invoke(main, args + ["b"])
+        assert second.exit_code == 0, second.output
+        assert calls == [] and cache.read_bytes() == written
+        assert second.output == first.output
+
+    def test_dt_keys_keep_the_convention(self):
+        """A DT record's key is still the hash over the schema version,
+        format, convention, payload and metadata, so existing DT caches
+        stay valid."""
+        rec = ingest([FIXTURE_FILE]).records[1]
+        for convention in ("a", "b"):
+            assert record_key("dt", convention, rec) == cache_key(
+                "dt", convention, rec.payload, sorted(rec.meta.items()))
+
     def test_cli_reports_malformed_line(self, tmp_path):
         p = tmp_path / "fixtures.pd"
         p.write_text(fixture_pd_text() + "bad;3;X(1,2,3)\n")
@@ -497,7 +524,8 @@ class TestNonAlternating:
             p.write_text(fh.read() + T34 + "\n")
         records, _ = compute_batch(ingest([str(p)]), InvariantCache(None),
                                    workers=1)
-        steps = crossing_filtration(records, 3, 8, "nonalternating")
+        steps = list(crossing_filtration(record_cloud(records), 3, 8,
+                                         "nonalternating"))
         assert [s.label for s in steps if not s.empty] == ["8"]
         assert steps[-1].cloud.row_ids == ("8_19",)
 
@@ -581,14 +609,14 @@ EXPECTED_BUNDLE = {"trajectory.csv", "angles.csv", "spread.csv",
 
 
 class TestRunAnalysis:
-    def _records(self):
+    def _cloud(self):
         ds = ingest([FIXTURE_FILE])
         records, _ = compute_batch(ds, InvariantCache(None), workers=1)
-        return records
+        return record_cloud(records)
 
     def test_bundle_contract(self, tmp_path):
         out = str(tmp_path / "rep")
-        spectra = run_analysis(self._records(), AnalysisConfig(), out,
+        spectra = run_analysis(self._cloud(), AnalysisConfig(), out,
                                digests=["x"])
         names = set(os.listdir(out))
         assert EXPECTED_BUNDLE | {f"spectrum_step_{s.label}" + ".csv"
@@ -600,15 +628,15 @@ class TestRunAnalysis:
         assert "time" not in json.dumps(manifest)
 
     def test_rerun_byte_identical(self, tmp_path):
-        records = self._records()
+        cloud = self._cloud()
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
-        run_analysis(records, AnalysisConfig(), a)
-        run_analysis(records, AnalysisConfig(), b)
+        run_analysis(cloud, AnalysisConfig(), a)
+        run_analysis(cloud, AnalysisConfig(), b)
         assert bundle_bytes(a) == bundle_bytes(b)
 
     def test_norm_filtration_bundle(self, tmp_path):
         out = str(tmp_path / "norm")
-        spectra = run_analysis(self._records(),
+        spectra = run_analysis(self._cloud(),
                                AnalysisConfig(filtration="norm", levels=3),
                                out)
         assert [s.label for s in spectra] == ["r_2", "r_1", "r_0"]
@@ -616,7 +644,7 @@ class TestRunAnalysis:
 
     def test_no_steps_raises(self, tmp_path):
         with pytest.raises(KnotfoldError):
-            run_analysis(self._records(),
+            run_analysis(self._cloud(),
                          AnalysisConfig(class_filter="nonalternating"),
                          str(tmp_path / "x"))
 
@@ -680,6 +708,68 @@ class TestCli:
         result = CliRunner().invoke(main, args + ["--out", without])
         assert result.exit_code == 0, result.output
         assert bundle_bytes(with_cache) == bundle_bytes(without)
+
+    def test_analyze_family_builds_no_member_objects(self, tmp_path,
+                                                     monkeypatch):
+        """analyze --family writes each member's row straight from its
+        closed form: no LaurentPolynomial, KnotRecord or CoefficientVector
+        is constructed on the way."""
+        from knotfold import cloud as cloud_module
+        from knotfold.laurent import LaurentPolynomial
+
+        built = []
+
+        def counting(cls, name):
+            original = cls.__dict__[name]
+            if isinstance(original, classmethod):
+                fn = original.__func__
+
+                def counted(klass, *args, **kwargs):
+                    built.append(cls.__name__)
+                    return fn(klass, *args, **kwargs)
+                return classmethod(counted)
+
+            def counted_init(self, *args, **kwargs):
+                built.append(cls.__name__)
+                return original(self, *args, **kwargs)
+            return counted_init
+
+        for cls, name in ((LaurentPolynomial, "__init__"),
+                          (LaurentPolynomial, "_trusted"),
+                          (cloud_module.KnotRecord, "__init__"),
+                          (cloud_module.CoefficientVector, "__init__")):
+            monkeypatch.setattr(cls, name, counting(cls, name))
+        out = str(tmp_path / "rep")
+        result = CliRunner().invoke(
+            main, ["analyze", "--family", "double-twist", "--max-crossings",
+                   "21", "--kmin", "21", "--kmax", "21", "--out", out])
+        assert result.exit_code == 0, result.output
+        assert "step 21: n=" in result.output
+        assert built == []
+        _, records = generate_family("double_twist", 21)  # the counters count
+        assert built.count("KnotRecord") >= len(records) > 0
+
+    def test_analyze_torus_matches_record_path(self, tmp_path):
+        """analyze --family torus writes the bundle that run_analysis
+        writes over the cloud of generate_family's records, for each class
+        filter and for the norm filtration."""
+        digest, records = generate_family("torus", 60)
+        for extra, config in (
+                (["--class", "alt"], AnalysisConfig(
+                    k_min=20, k_max=60, class_filter="alternating")),
+                (["--class", "nonalt"], AnalysisConfig(
+                    k_min=20, k_max=60, class_filter="nonalternating")),
+                (["--filtration", "norm", "--levels", "3"], AnalysisConfig(
+                    filtration="norm", k_min=20, k_max=60, levels=3))):
+            got, want = tmp_path / "cli", tmp_path / "records"
+            result = CliRunner().invoke(
+                main, ["analyze", "--family", "torus", "--max-crossings",
+                       "60", "--kmin", "20", "--kmax", "60", *extra,
+                       "--out", str(got)])
+            assert result.exit_code == 0, result.output
+            run_analysis(records_cloud(records), config, str(want),
+                         digests=[digest])
+            assert bundle_bytes(got) == bundle_bytes(want), extra
 
     def test_analyze_family_manifest_digest(self, tmp_path):
         out = str(tmp_path / "rep")
