@@ -1,7 +1,9 @@
 """Nested-family analyses: filtrations, spectra, and stability diagnostics.
 
 A filtration is an increasing sequence of knot sets, here by crossing
-number or by coefficient-vector norm.  Each step gets its own PCA; the
+number or by coefficient-vector norm.  Every step is a row and column
+slice of one aligned cloud (record_cloud, or families.family_cloud), cut
+to the degree window its rows span.  Each step gets its own PCA; the
 diagnostics compare steps: explained-variance trajectories, principal
 angles between consecutive steps, relative spreads, and norm histograms.
 """
@@ -56,7 +58,7 @@ def record_cloud(records):
                  for r in sorted(records, key=lambda r: r.id))
 
 
-def class_rows(cloud, class_filter):
+def _class_rows(cloud, class_filter):
     """Boolean mask of the cloud's rows that pass the class filter."""
     return np.array([_class_match(f, class_filter) for f in cloud.class_flags],
                     dtype=bool)
@@ -73,7 +75,7 @@ def crossing_filtration(cloud, k_min, k_max, class_filter="all"):
     """
     if k_min > k_max:
         raise ValueError(f"k_min {k_min} exceeds k_max {k_max}")
-    chosen = class_rows(cloud, class_filter)
+    chosen = _class_rows(cloud, class_filter)
     crossings = np.array(cloud.crossing_numbers)
     spans = cloud.row_spans()
 
@@ -89,7 +91,7 @@ def crossing_filtration(cloud, k_min, k_max, class_filter="all"):
 def class_cloud(cloud, class_filter):
     """The cloud's rows that pass the class filter, cut to the degree window
     they span; EmptyFamily when none does."""
-    rows = np.flatnonzero(class_rows(cloud, class_filter))
+    rows = np.flatnonzero(_class_rows(cloud, class_filter))
     if not len(rows):
         raise EmptyFamily("cannot align an empty family")
     return cloud.select(rows)
