@@ -102,7 +102,14 @@ def _orientation(n, mate):
     """Trace every component of the diagram on n crossings with ``mate``.
 
     Returns (components, incoming) as documented on
-    PlanarDiagram.orientation.
+    PlanarDiagram.orientation.  Components are traced out of the slot-2
+    darts in crossing order, skipping a dart that an earlier trace already
+    used in either direction, so each component that passes under leaves
+    the first crossing where it does at slot 2.  A component that only
+    passes over leaves its first free slot-1 or slot-3 dart.  The walk
+    does not check the PD convention: from_even_under reads the crossings
+    to rotate off it, and PlanarDiagram.orientation rejects a diagram in
+    which a strand enters at slot 2.
     """
     if not n:
         return ((),), frozenset()
@@ -121,21 +128,13 @@ def _orientation(n, mate):
             out = (ci, (s + 2) % 4)
         return tuple(visits)
 
-    # Components carrying an under-pass are forced: start at a slot-2 dart.
     for ci in range(n):
-        if (ci, 2) not in seen_out:
+        if (ci, 2) not in seen_out and (ci, 2) not in incoming:
             components.append(trace((ci, 2)))
-    # A component that only ever passes over is traced with an arbitrary
-    # (but deterministic) direction.
     for ci in range(n):
         for s in (1, 3):
             if (ci, s) not in seen_out and (ci, s) not in incoming:
                 components.append(trace((ci, s)))
-    for ci, s in incoming:
-        if s == 2:
-            raise Disconnected(
-                "under-strand enters at slot 2; PD violates the "
-                "incoming-under convention")
     return tuple(components), frozenset(incoming)
 
 
@@ -192,7 +191,12 @@ class PlanarDiagram:
         crossing.  The under-strand must enter at slot 0 everywhere; a
         diagram that cannot be oriented that way is rejected.
         """
-        return _orientation(self.n, self.dart_mate)
+        components, incoming = _orientation(self.n, self.dart_mate)
+        if any(s == 2 for _, s in incoming):
+            raise Disconnected(
+                "under-strand enters at slot 2; PD violates the "
+                "incoming-under convention")
+        return components, incoming
 
     def crossing_signs(self):
         """Per-crossing sign: +1 when the over-strand enters at slot 3."""
@@ -245,28 +249,14 @@ def from_even_under(crossings):
     """Build a PlanarDiagram from CCW tuples with the under-strand on
     slots 0 and 2 but in an unknown direction.
 
-    Traces an orientation and rotates every crossing where the under-strand
-    turns out to enter at slot 2, so constructors can lay out tuples
-    geometrically without solving for strand directions first.
+    Orients the tuples with _orientation's walk, the one PlanarDiagram
+    uses, and rotates every crossing where the under-strand turns out to
+    enter at slot 2, so constructors can lay out tuples geometrically
+    without solving for strand directions first.
     """
-    mate = _dart_mate(crossings)
-    incoming = set()
-    seen = set()
-    for ci0 in range(len(crossings)):
-        for s0 in range(4):
-            out = (ci0, s0)
-            if out in seen or out in incoming:
-                continue
-            while out not in seen:
-                seen.add(out)
-                ci, s = mate[out]
-                incoming.add((ci, s))
-                out = (ci, (s + 2) % 4)
-    rotated = []
-    for ci, cr in enumerate(crossings):
-        r = 2 if (ci, 2) in incoming else 0
-        rotated.append(tuple(cr[(r + k) % 4] for k in range(4)))
-    return PlanarDiagram(tuple(rotated))
+    _, incoming = _orientation(len(crossings), _dart_mate(crossings))
+    return PlanarDiagram(tuple(cr[2:] + cr[:2] if (ci, 2) in incoming else cr
+                               for ci, cr in enumerate(crossings)))
 
 
 # --- DT realization ---

@@ -7,9 +7,14 @@ Each formula lives in one row function (torus_row, double_twist_row) that
 returns a member's dense coefficient list at O(m + n) integer operations.
 family_cloud writes those lists straight into an aligned cloud, which is
 what an analysis runs on; jones_torus and jones_double_twist wrap the same
-lists as polynomials for the records that `generate` caches.  The diagram
-builders (torus_diagram, double_twist_diagram) are test oracles for these
-closed forms; no production path calls them.
+lists as polynomials for the records that `generate` caches.
+
+The closed forms are checked against explicit diagrams from one builder,
+four_plat_diagram: the numerator closure of the rational tangle
+[a1, ..., ak], whose fraction is ak + 1/(a(k-1) + 1/(... + 1/a1)).  Both
+families are two-bridge: T(2, n) is the 4-plat [n] (fraction n) and
+C(m, n) is [n, m] (fraction m + 1/n).  The builders are test oracles; no
+production path calls them.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from itertools import accumulate
 from math import gcd
 
 from .cloud import dense_cloud, prefers_mirror
-from .diagrams import PlanarDiagram, from_even_under
+from .diagrams import from_even_under
 from .errors import InexactDivision, NotAKnot, UnknownFormat
 from .laurent import QUARTER, LaurentPolynomial
 
@@ -81,98 +86,49 @@ def torus_members(max_crossings):
     return sorted(out, key=lambda mn: (torus_crossing_number(*mn), mn))
 
 
-def torus_diagram(n):
-    """Standard diagram of the (2, n) torus knot/link: closed 2-braid."""
+def four_plat_diagram(twists):
+    """Numerator closure of the rational tangle [a1, ..., ak]: a 4-plat.
+
+    The tangle's fraction is the continued fraction
+    ak + 1/(a(k-1) + 1/(... + 1/a1)); its numerator is the determinant of
+    the two-bridge knot or link.  The regions alternate so that the last
+    one is horizontal: ak twists the east ends, a(k-1) the south ends, and
+    so on, starting from the 0 tangle (arcs NW-NE, SW-SE) when k is odd
+    and from the infinity tangle (arcs NW-SW, NE-SE) when k is even.  Every
+    crossing has its over-strand NW-SE, so with all a_i >= 1 the diagram
+    is alternating.  The closure joins NE to NW and SE to SW.
+    """
+    if any(a < 0 for a in twists):
+        raise ValueError("twist parameters must be nonnegative")
+    nw, ne, sw, se = (1, 1, 2, 2) if len(twists) % 2 else (1, 2, 1, 2)
     crossings = []
-    t = [2 * j + 1 for j in range(n)]  # top arc entering crossing j
-    b = [2 * j + 2 for j in range(n)]
-    for j in range(n):
-        tn, bn = t[(j + 1) % n], b[(j + 1) % n]
-        crossings.append(_h_crossing(t[j], b[j], tn, bn))
-    return PlanarDiagram(tuple(crossings))
+    for i, a in enumerate(twists):
+        east = (len(twists) - i) % 2
+        for _ in range(a):
+            label = 2 * len(crossings) + 3  # fresh: label and label + 1
+            # CCW from where the under-strand enters as the region grows:
+            # (SW, SE, NE, NW) going east, (NE, NW, SW, SE) going south.
+            if east:
+                crossings.append((se, label + 1, label, ne))
+                ne, se = label, label + 1
+            else:
+                crossings.append((se, sw, label, label + 1))
+                sw, se = label, label + 1
+    close = {ne: nw, se: sw}
+    return from_even_under(tuple(tuple(close.get(lab, lab) for lab in cr)
+                                 for cr in crossings))
 
 
-def _h_crossing(t, b, t_out, b_out):
-    """One positive crossing in a horizontal twist region.
-
-    Strands run west to east; the bottom-west strand passes under.  CCW
-    from the incoming under-strand: (WB, EB, ET, WT).
-    """
-    return (b, b_out, t_out, t)
-
-
-def _v_crossing(l, r, l_out, r_out):
-    """One crossing in a vertical twist region (strands run north to south).
-
-    The north-east strand passes under; CCW from it: (NR, NL, SL, SR).
-    """
-    return (r, l, l_out, r_out)
+def torus_diagram(n):
+    """The (2, n) torus knot or link as the 4-plat [n]: a closed 2-braid
+    with both strands running the same way, so its writhe is n."""
+    return four_plat_diagram([n])
 
 
 def double_twist_diagram(m, n):
-    """Diagram of the positive double twist knot/link with m + n crossings.
-
-    Numerator closure of the tangle sum of a horizontal region with m
-    crossings and a vertical region with n crossings (two-bridge link
-    C(m, n), fraction m + 1/n).
-    """
-    if m < 0 or n < 0:
-        raise ValueError("twist parameters must be nonnegative")
-    labels = iter(range(1, 10 * (m + n) + 10))
-    parent = {}
-
-    def fresh():
-        lab = next(labels)
-        parent[lab] = lab
-        return lab
-
-    def resolve(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def merge(x, y):
-        rx, ry = resolve(x), resolve(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    wt, wb = fresh(), fresh()
-    t, b = wt, wb
-    h_crossings = []
-    for _ in range(m):
-        tn, bn = fresh(), fresh()
-        h_crossings.append((t, b, tn, bn))
-        t, b = tn, bn
-    et, eb = t, b
-
-    nl, nr = fresh(), fresh()
-    l, r = nl, nr
-    v_crossings = []
-    for _ in range(n):
-        ln, rn = fresh(), fresh()
-        v_crossings.append((l, r, ln, rn))
-        l, r = ln, rn
-    sl, sr = l, r
-
-    # Tangle sum: east side of H meets west side of V; numerator closure
-    # joins the outer corners top-to-top and bottom-to-bottom.
-    merge(et, nl)
-    merge(eb, sl)
-    merge(wt, nr)
-    merge(wb, sr)
-
-    crossings = []
-    for t, b, tn, bn in h_crossings:
-        crossings.append(_h_crossing(resolve(t), resolve(b),
-                                     resolve(tn), resolve(bn)))
-    for l, r, ln, rn in v_crossings:
-        crossings.append(_v_crossing(resolve(l), resolve(r),
-                                     resolve(ln), resolve(rn)))
-    used = sorted({lab for cr in crossings for lab in cr})
-    relab = {lab: i + 1 for i, lab in enumerate(used)}
-    return from_even_under(tuple(tuple(relab[lab] for lab in cr)
-                                 for cr in crossings))
+    """The positive double twist knot or link C(m, n): the 4-plat [n, m],
+    fraction m + 1/n, with m + n crossings."""
+    return four_plat_diagram([n, m])
 
 
 def double_twist_is_knot(m, n):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import AlignedCloud, align, coeff_vector
-from .errors import EmptyFamily, WindowOverflow
+from .errors import EmptyFamily, Unsupported, WindowOverflow
 from .pca import CovarianceAccumulator, dimension_estimate, sym_eig
 
 TRACKED_COMPONENTS = 6
@@ -71,10 +71,14 @@ def crossing_filtration(cloud, k_min, k_max, class_filter="all"):
     works on.  Each is the subset of the cloud's rows that pass the class
     filter and have crossing number <= k, cut to the degree window those
     rows span, so it equals aligning that step alone.  Empty steps are
-    reported with a None cloud rather than raised.
+    reported with a None cloud rather than raised.  A cloud with a row
+    that has no crossing number is refused at the call.
     """
     if k_min > k_max:
         raise ValueError(f"k_min {k_min} exceeds k_max {k_max}")
+    for rid, c in zip(cloud.row_ids, cloud.crossing_numbers):
+        if c is None:
+            raise Unsupported(f"row {rid!r} has no crossing number")
     chosen = _class_rows(cloud, class_filter)
     crossings = np.array(cloud.crossing_numbers)
     spans = cloud.row_spans()

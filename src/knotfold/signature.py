@@ -111,8 +111,6 @@ def signature_from_diagram(d):
     components, _ = d.orientation
     if len(components) != 1:
         raise Unsupported("signature is computed for knots (1 component) only")
-    if d.n == 0:
-        return 0
     edges, faces = _white_graph(d)
     comps = _components(len(faces), edges)
     if len(comps) != 2:

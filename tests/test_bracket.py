@@ -85,9 +85,10 @@ class TestEvaluatorEquivalence:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_torus_diagrams(self, n):
-        # T(2, n): a link for even n
+        # T(2, n): a link for even n, its two strands running the same way
         d = torus_diagram(n)
         assert bracket_statesum(d) == kauffman_bracket(d)
+        assert writhe(d) == n
 
     @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
         st.permutations(range(2, 2 * n + 1, 2)),

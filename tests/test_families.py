@@ -1,3 +1,6 @@
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
 from knotfold import diagrams, families
@@ -12,6 +15,7 @@ from knotfold.families import (
     double_twist_writhe,
     family_cloud,
     family_members,
+    four_plat_diagram,
     jones_double_twist,
     jones_torus,
     torus_crossing_number,
@@ -188,9 +192,51 @@ class TestDoubleTwist:
             raise AssertionError("diagram built on the production path")
 
         monkeypatch.setattr(families, "double_twist_diagram", refuse)
+        monkeypatch.setattr(families, "four_plat_diagram", refuse)
         monkeypatch.setattr(families, "from_even_under", refuse)
         monkeypatch.setattr(diagrams, "from_even_under", refuse)
         assert generate_family("double_twist", 40) == expected
+
+
+class TestFourPlat:
+    """The 4-plat builder beyond the one- and two-term families."""
+
+    @staticmethod
+    def determinant(twists):
+        """Numerator of ak + 1/(a(k-1) + 1/(... + 1/a1))."""
+        frac = Fraction(twists[0])
+        for a in twists[1:]:
+            frac = a + 1 / frac
+        return frac.numerator
+
+    def test_knots_up_to_four_terms(self):
+        """Every knot [a1, ..., ak], k <= 4, 1 <= a_i <= 4, with at most 12
+        crossings is alternating with sum(a_i) crossings, and |J(-1)| is
+        its fraction's numerator, the two-bridge determinant."""
+        knots = 0
+        for k in range(1, 5):
+            for twists in product(range(1, 5), repeat=k):
+                if sum(twists) > 12:
+                    continue
+                d = four_plat_diagram(twists)
+                if len(d.orientation[0]) != 1:
+                    continue
+                knots += 1
+                assert d.n == sum(twists), twists
+                assert is_alternating(d), twists
+                lo, coeffs = jones(d).int_coeffs()
+                at_minus_one = sum(c if (lo + i) % 2 == 0 else -c
+                                   for i, c in enumerate(coeffs))
+                assert abs(at_minus_one) == self.determinant(twists), twists
+        assert knots == 200
+
+    def test_negative_twists_rejected(self):
+        with pytest.raises(ValueError):
+            four_plat_diagram([2, -1])
+        with pytest.raises(ValueError):
+            torus_diagram(-3)
+        with pytest.raises(ValueError):
+            double_twist_diagram(-1, 2)
 
 
 class TestFamilyCloud:

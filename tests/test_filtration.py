@@ -5,7 +5,7 @@ import pytest
 
 from knotfold import filtration
 from knotfold.cloud import AlignedCloud, KnotRecord, align, coeff_vector
-from knotfold.errors import WindowOverflow
+from knotfold.errors import Unsupported, WindowOverflow
 from knotfold.families import family_cloud
 from knotfold.filtration import (
     CLASS_FILTERS,
@@ -184,6 +184,14 @@ class TestCrossingFiltration:
         steps = steps_of(fixture_records(), 6, 6,
                                     class_filter="alternating")
         assert len(steps[0].cloud.row_ids) == 8
+
+    def test_cloud_without_crossing_numbers(self):
+        """A cloud aligned without crossing-number metadata is refused when
+        the filtration is asked for, not when it is iterated, and the
+        error names the row."""
+        cloud = align([("a", coeff_vector(LaurentPolynomial.one("q")), {})])
+        with pytest.raises(Unsupported, match="'a'"):
+            crossing_filtration(cloud, 0, 1)
 
     def test_bad_range(self):
         with pytest.raises(ValueError):

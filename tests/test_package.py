@@ -113,6 +113,21 @@ def test_benchmark_hooks_resolve():
     assert not missing
 
 
+def test_benchmark_pool_reproduces():
+    """perfbench/dtgen.py rebuilds the committed DT pool from the family
+    diagram builders: every slot's id, crossing count and variant codes."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_dtgen", os.path.join(PERFBENCH, "dtgen.py"))
+    dtgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(dtgen)
+    built = [(sid, c, variants)
+             for sid, c, variants in dtgen.build_pool_codes()]
+    committed = [(slot["id"], slot["crossings"],
+                  [v["code"] for v in slot["variants"]])
+                 for slot in dtgen.load_pool()["slots"]]
+    assert built == committed
+
+
 def test_benchmark_imports_resolve():
     """Every name a perfbench script imports from the package exists."""
     missing = []
