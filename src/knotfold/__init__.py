@@ -13,14 +13,12 @@ without numpy.
 
 import importlib
 
-from .bracket import jones, kauffman_bracket, skein_check
+from .bracket import jones, kauffman_bracket
 from .cloud import (
     AlignedCloud,
-    CoefficientVector,
     KnotRecord,
     align,
     canonical_orientation,
-    coeff_vector,
 )
 from .diagrams import (
     DTSequence,
@@ -69,13 +67,13 @@ _LAZY = {
 }
 
 __all__ = sorted([
-    "AlignedCloud", "AnalysisConfig", "CoefficientVector", "DTSequence",
-    "InvariantCache", "KnotRecord", "KnotfoldError", "LaurentPolynomial",
-    "PlanarDiagram", "align", "canonical_orientation", "coeff_vector",
-    "compute_batch", "dt_code", "family_cloud", "generate_family", "ingest",
-    "is_alternating", "jones", "jones_double_twist", "jones_torus",
-    "kauffman_bracket", "mirror", "parse_dt", "parse_pd", "realize_dt",
-    "run_analysis", "signature_from_diagram", "skein_check", "writhe",
+    "AlignedCloud", "AnalysisConfig", "DTSequence", "InvariantCache",
+    "KnotRecord", "KnotfoldError", "LaurentPolynomial", "PlanarDiagram",
+    "align", "canonical_orientation", "compute_batch", "dt_code",
+    "family_cloud", "generate_family", "ingest", "is_alternating", "jones",
+    "jones_double_twist", "jones_torus", "kauffman_bracket", "mirror",
+    "parse_dt", "parse_pd", "realize_dt", "run_analysis",
+    "signature_from_diagram", "writhe",
     *_LAZY,
 ])
 

@@ -169,10 +169,3 @@ def jones(d):
 
     return bracket_to_jones(kauffman_bracket(d), writhe(d))
 
-
-def skein_check(jp, jm, j0):
-    """Exact test of (q^1/2 - q^-1/2) J0 = q^-1 J+ - q J-."""
-    half = LaurentPolynomial({2: 1, -2: -1}, "q")
-    qinv = LaurentPolynomial.monomial(1, -1, "q")
-    qpos = LaurentPolynomial.monomial(1, 1, "q")
-    return half * j0 == qinv * jp - qpos * jm

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import json
 import os
 import sys
 
@@ -182,8 +183,17 @@ def analyze_cmd(paths, fmt, dt_sign_convention, family, max_crossings,
               required=True,
               help="report bundle directory written by analyze")
 def export_cmd(what, out):
-    """Print a report artifact from an analysis bundle to stdout."""
-    names = sorted(f for f in os.listdir(out) if f.startswith(what))
+    """Print a report artifact from an analysis bundle to stdout; the
+    spectrum prints one block per step, in the run_manifest's step order."""
+    if what == "spectrum":
+        try:
+            with open(os.path.join(out, "run_manifest")) as fh:
+                steps = json.load(fh)["steps"]
+        except OSError:
+            steps = []
+        names = [f"spectrum_step_{s['label']}.csv" for s in steps]
+    else:
+        names = sorted(f for f in os.listdir(out) if f.startswith(what))
     if not names:
         click.echo(f"error: no {what} artifact in {out}", err=True)
         sys.exit(1)

@@ -2,10 +2,11 @@
 
 Turns a family of knots into one integer matrix: pick one knot from each
 mirror pair, read off dense coefficient rows, and zero-pad them into a
-family-wide degree window aligned at the q^0 column.  Computed records
-go through align; the closed-form families write their rows straight into
-the matrix (families.family_cloud).  Both pick the mirror image by the
-one extreme-degree rule, prefers_mirror.  An analysis run builds one
+family-wide degree window.  align is the one constructor: computed
+records (filtration.record_cloud) and the closed-form families
+(families.family_cloud) both hand it (id, min_degree, coefficients,
+alternating, sigma, crossing_number) rows.  Both pick the mirror image by
+the one extreme-degree rule, prefers_mirror.  An analysis run builds one
 cloud, and its filtration steps and class filters are row and column
 slices of it.
 """
@@ -77,32 +78,12 @@ def prefers_mirror(lo, hi):
 
 
 @dataclass(frozen=True)
-class CoefficientVector:
-    """Dense coefficient window of an integer-exponent Laurent polynomial."""
-
-    min_degree: int
-    coefficients: tuple
-
-    @property
-    def max_degree(self):
-        return self.min_degree + len(self.coefficients) - 1
-
-
-def coeff_vector(p):
-    """Dense window of a q-polynomial; raises HalfIntegerExponent."""
-    lo, coeffs = p.int_coeffs()
-    return CoefficientVector(lo, tuple(coeffs))
-
-
-@dataclass(frozen=True)
 class AlignedCloud:
     """A family of coefficient rows padded into one shared degree window."""
 
     row_ids: tuple
     matrix: np.ndarray
-    q0_column: int
     min_degree: int
-    max_degree: int
     norms: np.ndarray
     class_flags: tuple
     sigma_values: tuple
@@ -110,11 +91,15 @@ class AlignedCloud:
 
     @property
     def width(self):
-        return self.max_degree - self.min_degree + 1
+        return self.matrix.shape[1]
+
+    @property
+    def max_degree(self):
+        return self.min_degree + self.width - 1
 
     def row_spans(self):
         """Each row's lowest and highest degree with a nonzero entry, as two
-        arrays; a zero row spans degree 0, as its coefficient vector does."""
+        arrays; a zero row spans degree 0, as int_coeffs reads it."""
         import numpy as np
 
         nonzero = self.matrix != 0
@@ -151,9 +136,7 @@ class AlignedCloud:
         return AlignedCloud(
             row_ids=tuple(self.row_ids[j] for j in rows),
             matrix=matrix,
-            q0_column=-min_degree,
             min_degree=min_degree,
-            max_degree=max_degree,
             norms=self.norms[rows],
             class_flags=tuple(self.class_flags[j] for j in rows),
             sigma_values=tuple(self.sigma_values[j] for j in rows),
@@ -161,16 +144,16 @@ class AlignedCloud:
         )
 
 
-def dense_cloud(rows):
+def align(rows):
     """Pad (id, min_degree, coefficients, alternating, sigma,
-    crossing_number) rows, in order, into one cloud.
+    crossing_number) rows into one cloud, in id order.
 
     Each row is written into one preallocated int64 matrix; numpy raises
     OverflowError for any coefficient outside int64.
     """
     import numpy as np
 
-    rows = list(rows)
+    rows = sorted(rows, key=lambda row: row[0])
     if not rows:
         raise EmptyFamily("cannot align an empty family")
     lo = min(row[1] for row in rows)
@@ -181,24 +164,9 @@ def dense_cloud(rows):
     return AlignedCloud(
         row_ids=tuple(row[0] for row in rows),
         matrix=matrix,
-        q0_column=-lo,
         min_degree=lo,
-        max_degree=hi,
         norms=np.sqrt((matrix.astype(float) ** 2).sum(axis=1)),
         class_flags=tuple(row[3] for row in rows),
         sigma_values=tuple(row[4] for row in rows),
         crossing_numbers=tuple(row[5] for row in rows),
     )
-
-
-def align(family):
-    """Pad a family of (id, CoefficientVector, metadata) into a cloud.
-
-    Metadata is a mapping; keys ``alternating``, ``sigma`` and
-    ``crossing_number`` are carried through per row when present.  See
-    dense_cloud.
-    """
-    return dense_cloud(
-        (rid, cv.min_degree, cv.coefficients, meta.get("alternating"),
-         meta.get("sigma"), meta.get("crossing_number"))
-        for rid, cv, meta in family)

@@ -5,8 +5,8 @@ Torus knots use the classical closed form, whose exact division by
 writhe and Kauffman bracket from closed forms in m, n and their parities.
 Each formula lives in one row function (torus_row, double_twist_row) that
 returns a member's dense coefficient list at O(m + n) integer operations.
-family_cloud writes those lists straight into an aligned cloud, which is
-what an analysis runs on; jones_torus and jones_double_twist wrap the same
+family_cloud hands those lists straight to align, and its cloud is what
+an analysis runs on; jones_torus and jones_double_twist wrap the same
 lists as polynomials for the records that `generate` caches.
 
 The closed forms are checked against explicit diagrams from one builder,
@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import gcd
 
-from .cloud import dense_cloud, prefers_mirror
+from .cloud import align, prefers_mirror
 from .diagrams import from_even_under
 from .errors import InexactDivision, NotAKnot, UnknownFormat
 from .laurent import QUARTER, LaurentPolynomial
@@ -234,21 +234,21 @@ def family_members(kind, limit):
 
 
 def family_cloud(kind, limit):
-    """(digest, cloud): the aligned cloud of a family, rows in id order.
+    """(digest, cloud): the aligned cloud of a family.
 
-    Each member's row comes from its closed form and is written straight
-    into the cloud's matrix, reversed when prefers_mirror picks the
-    mirror image, so the cloud equals aligning generate_family's
-    canonicalized records, without a polynomial or record per member.
+    Each member's dense row comes from its closed form, reversed when
+    prefers_mirror picks the mirror image, and goes straight to align, so
+    the cloud equals record_cloud of generate_family's canonicalized
+    records, without a polynomial or record per member.
     """
     digest, members = family_members(kind, limit)
     row_of = torus_row if kind == "torus" else double_twist_row
     rows = []
-    for rid, crossings, alternating, m, n in sorted(members):
+    for rid, crossings, alternating, m, n in members:
         lo4, coeffs = row_of(m, n)
         lo = lo4 // QUARTER  # a knot's exponents are whole
         hi = lo + len(coeffs) - 1
         if prefers_mirror(lo, hi):
             lo, coeffs = -hi, coeffs[::-1]
         rows.append((rid, lo, coeffs, alternating, None, crossings))
-    return digest, dense_cloud(rows)
+    return digest, align(rows)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import AlignedCloud, align, coeff_vector
+from .cloud import AlignedCloud, align
 from .errors import EmptyFamily, Unsupported, WindowOverflow
 from .pca import CovarianceAccumulator, dimension_estimate, sym_eig
 
@@ -41,7 +41,6 @@ class FiltrationStep:
 
     label: str
     cloud: AlignedCloud
-    radius: float = None
 
     @property
     def empty(self):
@@ -49,13 +48,11 @@ class FiltrationStep:
 
 
 def record_cloud(records):
-    """The cloud of computed records, in id order: each record's Jones
-    coefficient vector, aligned once, with its alternating flag, sigma and
+    """The cloud of computed records: each record's dense Jones row
+    (int_coeffs), aligned once, with its alternating flag, sigma and
     crossing number."""
-    return align((r.id, coeff_vector(r.jones),
-                  {"alternating": r.alternating, "sigma": r.sigma,
-                   "crossing_number": r.crossing_number})
-                 for r in sorted(records, key=lambda r: r.id))
+    return align((r.id, *r.jones.int_coeffs(), r.alternating, r.sigma,
+                  r.crossing_number) for r in records)
 
 
 def _class_rows(cloud, class_filter):
@@ -105,8 +102,8 @@ def norm_filtration(cloud, levels):
     """Central-norm subsets doubling in size up to the full cloud.
 
     Level i (i = levels-1 .. 0) keeps the ceil(n / 2^i) rows of smallest
-    norm (ties broken by row id); the level's radius is its largest norm.
-    All levels share the parent cloud's degree window.
+    norm (ties broken by row id).  All levels share the parent cloud's
+    degree window.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -115,10 +112,8 @@ def norm_filtration(cloud, levels):
     steps = []
     for i in range(levels - 1, -1, -1):
         take = -(-n // (1 << i))  # ceil
-        sub = cloud.subcloud(sorted(order[:take]), cloud.min_degree,
-                             cloud.max_degree)
-        steps.append(FiltrationStep(f"r_{i}", sub,
-                                    radius=float(sub.norms.max())))
+        steps.append(FiltrationStep(f"r_{i}", cloud.subcloud(
+            sorted(order[:take]), cloud.min_degree, cloud.max_degree)))
     return steps
 
 

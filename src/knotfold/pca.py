@@ -170,12 +170,8 @@ def sym_eig(k):
 
 def dimension_estimate(normalized, threshold=0.95):
     """Smallest k whose cumulative explained variance reaches the threshold."""
-    s = 0.0
-    for k, share in enumerate(normalized, start=1):
-        s += share
-        if s >= threshold:
-            return k
-    return len(normalized)
+    reached = np.flatnonzero(np.cumsum(normalized) >= threshold)
+    return int(reached[0]) + 1 if len(reached) else len(normalized)
 
 
 def project(matrix, mean, es, k):

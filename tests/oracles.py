@@ -1,11 +1,11 @@
 """Slow reference implementations that the tests compare the library against.
 
 None of these runs on a production path: the package evaluates the bracket
-by its sweep alone, has no polynomial division, and builds family clouds
-without a polynomial or record per member.
+by its sweep alone, has no polynomial division or skein check, and builds
+family clouds without a polynomial or record per member.
 """
 
-from knotfold.cloud import align, coeff_vector
+from knotfold.cloud import align
 from knotfold.errors import InexactDivision, KnotfoldError, VariableMismatch
 from knotfold.laurent import LaurentPolynomial
 
@@ -119,13 +119,24 @@ def exact_div(p, divisor):
     return LaurentPolynomial({e + offset: c for e, c in quot.items()}, p.var)
 
 
+def skein_check(jp, jm, j0):
+    """Exact test of (q^1/2 - q^-1/2) J0 = q^-1 J+ - q J-."""
+    half = LaurentPolynomial({2: 1, -2: -1}, "q")
+    qinv = LaurentPolynomial.monomial(1, -1, "q")
+    qpos = LaurentPolynomial.monomial(1, 1, "q")
+    return half * j0 == qinv * jp - qpos * jm
+
+
+def row(rid, poly, alternating=None, sigma=None, crossing_number=None):
+    """One align row: the polynomial's dense window and the metadata."""
+    return (rid, *poly.int_coeffs(), alternating, sigma, crossing_number)
+
+
 def records_cloud(records):
-    """align(coeff_vector(...)) over records sorted by id, each row with its
-    alternating flag, sigma and crossing number."""
-    return align([(r.id, coeff_vector(r.jones),
-                   {"alternating": r.alternating, "sigma": r.sigma,
-                    "crossing_number": r.crossing_number})
-                  for r in sorted(records, key=lambda r: r.id)])
+    """align over each record's row, with its alternating flag, sigma and
+    crossing number."""
+    return align([row(r.id, r.jones, r.alternating, r.sigma,
+                      r.crossing_number) for r in records])
 
 
 def assert_same_cloud(got, want, label=None):
@@ -135,8 +146,8 @@ def assert_same_cloud(got, want, label=None):
     assert got.matrix.dtype == want.matrix.dtype, label
     assert got.matrix.shape == want.matrix.shape, label
     assert got.matrix.tobytes() == want.matrix.tobytes(), label
-    assert (got.min_degree, got.max_degree, got.q0_column) == \
-        (want.min_degree, want.max_degree, want.q0_column), label
+    assert (got.min_degree, got.max_degree) == \
+        (want.min_degree, want.max_degree), label
     assert got.norms.tobytes() == want.norms.tobytes(), label
     assert got.class_flags == want.class_flags, label
     assert got.sigma_values == want.sigma_values, label

@@ -16,13 +16,8 @@ import time
 import numpy as np
 import pytest
 
-from knotfold.bracket import (
-    bracket_to_jones,
-    jones,
-    kauffman_bracket,
-    skein_check,
-)
-from knotfold.cloud import KnotRecord, align, canonical_orientation, coeff_vector
+from knotfold.bracket import bracket_to_jones, jones, kauffman_bracket
+from knotfold.cloud import KnotRecord, align, canonical_orientation
 from knotfold.diagrams import mirror, parse_pd, writhe
 from knotfold.families import (
     double_twist_diagram,
@@ -50,7 +45,8 @@ from knotfold.pipeline import (
 )
 
 from conftest import FIXTURE_FILE, TABLE_MATRIX
-from oracles import assert_same_cloud, bracket_statesum, records_cloud
+from oracles import (assert_same_cloud, bracket_statesum, records_cloud, row,
+                     skein_check)
 
 DT13 = os.environ.get("KNOTFOLD_DT13")
 FULL_DOUBLE_TWIST = os.environ.get("KNOTFOLD_FULL_DOUBLE_TWIST")
@@ -106,7 +102,7 @@ def test_criterion_1_table_golden(fixture_diagrams, table_polys):
         rec = canonical_orientation(KnotRecord(name, d.n, jones(d)))
         assert rec.jones == table_polys[name], name
         records.append(rec)
-    cloud = align([(r.id, coeff_vector(r.jones), {}) for r in records])
+    cloud = align([row(r.id, r.jones) for r in records])
     assert cloud.matrix.shape == (8, 11)
     for i, name in enumerate(cloud.row_ids):
         assert cloud.matrix[i].tolist() == TABLE_MATRIX[name], name
@@ -266,8 +262,7 @@ def test_criterion_8_property_suite(fixture_diagrams, tmp_path):
 @criterion(9)
 def test_criterion_9_histogram_contract():
     records = dt13_records()
-    cloud = align([(r.id, coeff_vector(r.jones),
-                    {"alternating": r.alternating}) for r in records])
+    cloud = align([row(r.id, r.jones, r.alternating) for r in records])
     _, counts = norm_histogram(cloud, 20)
     assert np.array_equal(counts["alternating"] + counts["nonalternating"],
                           counts["combined"])

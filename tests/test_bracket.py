@@ -2,12 +2,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from knotfold import bracket
-from knotfold.bracket import (
-    bracket_to_jones,
-    jones,
-    kauffman_bracket,
-    skein_check,
-)
+from knotfold.bracket import bracket_to_jones, jones, kauffman_bracket
 from knotfold.diagrams import (
     DT_CONVENTIONS,
     DTSequence,
@@ -22,7 +17,7 @@ from knotfold.errors import NotRealizable, SweepNotClosed, WidthOverflow
 from knotfold.families import torus_diagram
 from knotfold.laurent import LaurentPolynomial
 
-from oracles import STATESUM_CAP, CapExceeded, bracket_statesum
+from oracles import STATESUM_CAP, CapExceeded, bracket_statesum, skein_check
 
 
 class TestBracketBasics:

@@ -1,13 +1,12 @@
 import math
+import random
 
 import pytest
 
 from knotfold.cloud import (
-    CoefficientVector,
     KnotRecord,
     align,
     canonical_orientation,
-    coeff_vector,
     mirror_record,
     prefers_mirror,
 )
@@ -15,6 +14,7 @@ from knotfold.errors import EmptyFamily, HalfIntegerExponent
 from knotfold.laurent import LaurentPolynomial
 
 from conftest import TABLE_MATRIX, TABLE_POLYS
+from oracles import row
 
 
 def rec(jones_text, **kw):
@@ -86,41 +86,39 @@ class TestPrefersMirror:
 
 
 class TestCoeffVector:
+    """The dense row a polynomial hands to align."""
+
     def test_4_1_row(self):
-        cv = coeff_vector(LaurentPolynomial.from_text(TABLE_POLYS["4_1"]))
-        assert cv.min_degree == -2
-        assert cv.coefficients == (1, -1, 1, -1, 1)
+        p = LaurentPolynomial.from_text(TABLE_POLYS["4_1"])
+        assert p.int_coeffs() == (-2, [1, -1, 1, -1, 1])
 
     def test_3_1_row_keeps_interior_zero(self):
-        cv = coeff_vector(LaurentPolynomial.from_text(TABLE_POLYS["3_1"]))
-        assert cv.min_degree == 1
-        assert cv.coefficients == (1, 0, 1, -1)
+        p = LaurentPolynomial.from_text(TABLE_POLYS["3_1"])
+        assert p.int_coeffs() == (1, [1, 0, 1, -1])
 
     def test_constant(self):
-        cv = coeff_vector(LaurentPolynomial.one())
-        assert (cv.min_degree, cv.coefficients) == (0, (1,))
+        assert LaurentPolynomial.one().int_coeffs() == (0, [1])
 
     def test_rejects_half_exponents(self):
         with pytest.raises(HalfIntegerExponent):
-            coeff_vector(LaurentPolynomial({2: 1}))
+            LaurentPolynomial({2: 1}).int_coeffs()
 
     def test_reconstruction_exact(self, table_polys):
         for p in table_polys.values():
-            cv = coeff_vector(p)
+            lo, coeffs = p.int_coeffs()
             assert LaurentPolynomial(
-                {4 * (cv.min_degree + i): c
-                 for i, c in enumerate(cv.coefficients)}) == p
+                {4 * (lo + i): c for i, c in enumerate(coeffs)}) == p
 
 
 class TestAlign:
     def _family(self):
-        return [(name, coeff_vector(LaurentPolynomial.from_text(text)), {})
+        return [row(name, LaurentPolynomial.from_text(text))
                 for name, text in TABLE_POLYS.items()]
 
     def test_table_matrix(self):
         cloud = align(self._family())
         assert cloud.matrix.shape == (8, 11)
-        assert cloud.q0_column == 3
+        assert -cloud.min_degree == 3  # the q^0 column
         for i, name in enumerate(cloud.row_ids):
             assert cloud.matrix[i].tolist() == TABLE_MATRIX[name], name
 
@@ -130,11 +128,26 @@ class TestAlign:
 
     @pytest.mark.parametrize("big", [2**63, -2**63 - 1])
     def test_interior_overflow(self, big):
-        family = [("a", CoefficientVector(0, (1, 0, 0)), {}),
-                  ("b", CoefficientVector(0, (0, big, 0)), {}),
-                  ("c", CoefficientVector(0, (0, 0, 1)), {})]
+        family = [("a", 0, (1, 0, 0), None, None, None),
+                  ("b", 0, (0, big, 0), None, None, None),
+                  ("c", 0, (0, 0, 1), None, None, None)]
         with pytest.raises(OverflowError):
             align(family)
+
+    def test_rows_in_id_order(self):
+        """align orders rows by id, whatever order they come in, and each
+        row keeps its own coefficients and metadata."""
+        family = [row(name, LaurentPolynomial.from_text(text),
+                      alternating=i % 2 == 0, sigma=i, crossing_number=-i)
+                  for i, (name, text) in enumerate(TABLE_POLYS.items())]
+        meta = {r[0]: r[3:] for r in family}
+        random.Random(5).shuffle(family)
+        cloud = align(family)
+        assert list(cloud.row_ids) == sorted(TABLE_POLYS)
+        for i, name in enumerate(cloud.row_ids):
+            assert cloud.matrix[i].tolist() == TABLE_MATRIX[name], name
+            assert (cloud.class_flags[i], cloud.sigma_values[i],
+                    cloud.crossing_numbers[i]) == meta[name], name
 
     def test_single_knot_no_padding(self):
         cloud = align(self._family()[1:2])
@@ -157,18 +170,18 @@ class TestNorm:
     """The row norms align computes, which the norm filtration reads."""
 
     def test_unknot(self):
-        cloud = align([("0_1", coeff_vector(LaurentPolynomial.one()), {})])
+        cloud = align([row("0_1", LaurentPolynomial.one())])
         assert cloud.norms.tolist() == [1.0]
 
     def test_zero_row(self):
-        cloud = align([("z", CoefficientVector(0, (0, 0)), {})])
+        cloud = align([("z", 0, (0, 0), None, None, None)])
         assert cloud.norms.tolist() == [0.0]
 
     def test_6_3(self):
         # zero padding into the table's window leaves the norm unchanged
-        cv = coeff_vector(LaurentPolynomial.from_text(TABLE_POLYS["6_3"]))
-        alone = align([("6_3", cv, {})])
-        table = align([(name, coeff_vector(LaurentPolynomial.from_text(t)), {})
+        alone = align([row("6_3", LaurentPolynomial.from_text(
+            TABLE_POLYS["6_3"]))])
+        table = align([row(name, LaurentPolynomial.from_text(t))
                        for name, t in TABLE_POLYS.items()])
         assert alone.width < table.width
         assert alone.norms[0] == table.norms[table.row_ids.index("6_3")] \

@@ -267,8 +267,8 @@ class TestFamilyCloud:
             nonzero = [int(c) for c in row if c]
             assert nonzero == [c for c in jones_double_twist(2 * k, 2 * k)
                                .int_coeffs()[1] if c], rid
-            assert row[cloud.q0_column - 2 * k] and \
-                row[cloud.q0_column + 2 * k], rid
+            assert row[-cloud.min_degree - 2 * k] and \
+                row[-cloud.min_degree + 2 * k], rid
 
     def test_members_and_bad_inputs(self):
         assert family_members("torus", 7) == ("torus-7", [

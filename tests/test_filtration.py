@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from knotfold import filtration
-from knotfold.cloud import AlignedCloud, KnotRecord, align, coeff_vector
+from knotfold.cloud import AlignedCloud, KnotRecord, align
 from knotfold.errors import Unsupported, WindowOverflow
 from knotfold.families import family_cloud
 from knotfold.filtration import (
@@ -27,7 +27,7 @@ from knotfold.pipeline import (InvariantCache, compute_batch, generate_family,
                                ingest)
 
 from conftest import FIXTURE_FILE, TABLE_CROSSINGS, TABLE_POLYS
-from oracles import assert_same_cloud
+from oracles import assert_same_cloud, row
 
 
 def fixture_records():
@@ -44,21 +44,17 @@ def steps_of(records, k_min, k_max, class_filter="all"):
 
 def staircase_cloud(n=8):
     """A width-1 cloud whose k-th row has norm exactly k."""
-    fam = [(f"r{k}", coeff_vector(LaurentPolynomial({0: k}, "q")),
-            {"alternating": k % 2 == 0})
-           for k in range(1, n + 1)]
-    return align(fam)
+    return align([row(f"r{k}", LaurentPolynomial({0: k}, "q"),
+                      alternating=k % 2 == 0) for k in range(1, n + 1)])
 
 
 def make_cloud(matrix):
     matrix = np.asarray(matrix, dtype=np.int64)
-    n, w = matrix.shape
+    n = len(matrix)
     return AlignedCloud(
         row_ids=tuple(f"p{i}" for i in range(n)),
         matrix=matrix,
-        q0_column=0,
         min_degree=0,
-        max_degree=w - 1,
         norms=np.sqrt((matrix.astype(float) ** 2).sum(axis=1)),
         class_flags=(True,) * n,
         sigma_values=(None,) * n,
@@ -77,11 +73,9 @@ def per_step_filtration(records, k_min, k_max, class_filter="all"):
         if not chosen:
             steps.append(FiltrationStep(str(k), None))
             continue
-        fam = [(r.id, coeff_vector(r.jones),
-                {"alternating": r.alternating, "sigma": r.sigma,
-                 "crossing_number": r.crossing_number})
-               for r in chosen]
-        steps.append(FiltrationStep(str(k), align(fam)))
+        steps.append(FiltrationStep(str(k), align(
+            [row(r.id, r.jones, r.alternating, r.sigma, r.crossing_number)
+             for r in chosen])))
     return steps
 
 
@@ -189,7 +183,7 @@ class TestCrossingFiltration:
         """A cloud aligned without crossing-number metadata is refused when
         the filtration is asked for, not when it is iterated, and the
         error names the row."""
-        cloud = align([("a", coeff_vector(LaurentPolynomial.one("q")), {})])
+        cloud = align([row("a", LaurentPolynomial.one("q"))])
         with pytest.raises(Unsupported, match="'a'"):
             crossing_filtration(cloud, 0, 1)
 
@@ -208,7 +202,7 @@ class TestNormFiltration:
         steps = norm_filtration(staircase_cloud(8), 3)
         assert [s.label for s in steps] == ["r_2", "r_1", "r_0"]
         assert [len(s.cloud.row_ids) for s in steps] == [2, 4, 8]
-        assert [s.radius for s in steps] == [2.0, 4.0, 8.0]
+        assert [s.cloud.norms.max() for s in steps] == [2.0, 4.0, 8.0]
 
     def test_innermost_keeps_smallest_norms(self):
         steps = norm_filtration(staircase_cloud(8), 3)
@@ -220,7 +214,7 @@ class TestNormFiltration:
             assert set(prev.cloud.row_ids) <= set(cur.cloud.row_ids)
 
     def test_window_shared_with_parent(self):
-        cloud = align([(name, coeff_vector(LaurentPolynomial.from_text(t)), {})
+        cloud = align([row(name, LaurentPolynomial.from_text(t))
                        for name, t in TABLE_POLYS.items()])
         for s in norm_filtration(cloud, 2):
             assert (s.cloud.min_degree, s.cloud.max_degree) == \

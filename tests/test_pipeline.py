@@ -712,8 +712,8 @@ class TestCli:
     def test_analyze_family_builds_no_member_objects(self, tmp_path,
                                                      monkeypatch):
         """analyze --family writes each member's row straight from its
-        closed form: no LaurentPolynomial, KnotRecord or CoefficientVector
-        is constructed on the way."""
+        closed form: no LaurentPolynomial or KnotRecord is constructed on
+        the way."""
         from knotfold import cloud as cloud_module
         from knotfold.laurent import LaurentPolynomial
 
@@ -736,8 +736,7 @@ class TestCli:
 
         for cls, name in ((LaurentPolynomial, "__init__"),
                           (LaurentPolynomial, "_trusted"),
-                          (cloud_module.KnotRecord, "__init__"),
-                          (cloud_module.CoefficientVector, "__init__")):
+                          (cloud_module.KnotRecord, "__init__")):
             monkeypatch.setattr(cls, name, counting(cls, name))
         out = str(tmp_path / "rep")
         result = CliRunner().invoke(
@@ -899,6 +898,26 @@ class TestCli:
                                       "--out", out])
         assert result.exit_code == 0
         assert result.output.startswith("step,component,lambda_bar")
+
+    def test_export_spectrum_in_step_order(self, tmp_path):
+        """export --what spectrum prints one block per step in the
+        run_manifest's order, which for the norm filtration is not the
+        files' name order."""
+        runner = CliRunner()
+        out = tmp_path / "rep"
+        result = runner.invoke(main, ["analyze", FIXTURE_FILE, "--filtration",
+                                      "norm", "--levels", "3",
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        labels = [s["label"] for s in
+                  json.loads((out / "run_manifest").read_text())["steps"]]
+        assert labels == ["r_2", "r_1", "r_0"]
+        result = runner.invoke(main, ["export", "--what", "spectrum",
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert result.output == "".join(
+            (out / f"spectrum_step_{label}.csv").read_text()
+            for label in labels)
 
 
 def test_bundle_independent_of_blas_threads(tmp_path):
