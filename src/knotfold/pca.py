@@ -3,9 +3,11 @@
 Covariance accumulation is done here from scratch; the eigensolve is
 LAPACK's (``np.linalg.eigh``).  The covariance product, the eigensolve and
 the projection run on one BLAS thread, so results do not depend on the
-thread count.  Everything downstream (explained variances, cumulative
-shares, dimension estimation, projection) consumes the resulting
-eigensystem.
+thread count.  A covariance block or a projection holds at most one float
+copy of its matrix at a time: it centers a private copy in place, and
+inputs are never modified.  Everything downstream (explained variances,
+cumulative shares, dimension estimation, projection) consumes the
+resulting eigensystem.
 """
 
 from __future__ import annotations
@@ -44,17 +46,27 @@ class CovarianceAccumulator:
 
     def add_block(self, rows):
         """Accumulate a 2-D block at once, merged like any other shard, so
-        a block of one row gives the same bits as ``add``."""
-        rows = np.asarray(rows, dtype=float)
+        a block of one row gives the same bits as ``add``.  A block with no
+        rows leaves the accumulator as it is.
+
+        The block is centered in its one private float copy, so the input
+        is never modified and no second N x d array is made.
+        """
+        rows = np.array(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != self.dim:
             raise DimensionMismatch(
                 f"block of shape {rows.shape} in a {self.dim}-dim accumulator")
+        if not len(rows):
+            return self
         other = CovarianceAccumulator(self.dim)
         other.count = rows.shape[0]
         other.mean = rows.mean(axis=0)
-        centered = rows - other.mean
+        rows -= other.mean
         with _one_blas_thread():
-            other.m2 = centered.T @ centered
+            other.m2 = rows.T @ rows
+        if self.count == 0:
+            self.count, self.mean, self.m2 = other.count, other.mean, other.m2
+            return self
         return self.merge(other)
 
     def merge(self, other):
@@ -81,7 +93,9 @@ class CovarianceAccumulator:
             raise InsufficientData(
                 f"covariance needs at least 2 rows, have {self.count}")
         k = self.m2 / (self.count - 1)
-        return (k + k.T) / 2.0
+        k += k.T  # numpy buffers the overlapping k.T: (k + k.T) bit for bit
+        k /= 2.0
+        return k
 
 
 @dataclass(frozen=True)
@@ -153,11 +167,15 @@ def sym_eig(k):
     if not np.isfinite(k).all():
         raise NotSymmetric("matrix has a non-finite entry")
     n = k.shape[0]
-    scale = max(1.0, np.abs(k).max(initial=0.0))
-    if np.abs(k - k.T).max(initial=0.0) > 1e-9 * scale:
+    scale = max(1.0, k.max(initial=0.0), -k.min(initial=0.0))
+    skew = k - k.T  # rebound to its max below, so eigh runs without it
+    skew = np.abs(skew, out=skew).max(initial=0.0)
+    if skew > 1e-9 * scale:
         raise NotSymmetric("matrix is not symmetric within 1e-9 relative")
+    if skew:  # an exactly symmetric K is its own symmetrization
+        k = (k + k.T) / 2.0
     with _one_blas_thread():
-        lam, vec = np.linalg.eigh((k + k.T) / 2.0)
+        lam, vec = np.linalg.eigh(k)  # eigh works on a copy of k
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     vec = vec[:, order]
@@ -175,10 +193,14 @@ def dimension_estimate(normalized, threshold=0.95):
 
 
 def project(matrix, mean, es, k):
-    """Express centered rows in the first k principal directions."""
-    matrix = np.asarray(matrix, dtype=float)
+    """Express centered rows in the first k principal directions.
+
+    The rows are centered in one private float copy; the input is left as
+    it is."""
+    matrix = np.array(matrix, dtype=float)
     if k > es.dim or matrix.shape[1] != es.dim:
         raise DimensionMismatch(
             f"cannot project shape {matrix.shape} onto {k} of {es.dim} axes")
+    matrix -= mean
     with _one_blas_thread():
-        return (matrix - mean) @ es.eigenvectors[:, :k]
+        return matrix @ es.eigenvectors[:, :k]

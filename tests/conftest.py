@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import pytest
 
@@ -78,3 +79,24 @@ def fixture_diagrams():
 @pytest.fixture(scope="session")
 def fixture_path():
     return FIXTURE_FILE
+
+
+@pytest.fixture(scope="session")
+def double_twist_91():
+    """The double twist <= 91 family cloud, 1541 rows of width 181."""
+    from knotfold.families import family_cloud
+
+    return family_cloud("double_twist", 91)[1]
+
+
+def traced_peak(call):
+    """call()'s result and the most memory tracemalloc saw in use during
+    it, above what was in use when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

@@ -1,9 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from knotfold.cloud import (
+    NORM_BLOCK_ROWS,
     KnotRecord,
     align,
     canonical_orientation,
@@ -13,7 +15,7 @@ from knotfold.cloud import (
 from knotfold.errors import EmptyFamily, HalfIntegerExponent
 from knotfold.laurent import LaurentPolynomial
 
-from conftest import TABLE_MATRIX, TABLE_POLYS
+from conftest import TABLE_MATRIX, TABLE_POLYS, traced_peak
 from oracles import row
 
 
@@ -186,3 +188,33 @@ class TestNorm:
         assert alone.width < table.width
         assert alone.norms[0] == table.norms[table.row_ids.index("6_3")] \
             == pytest.approx(math.sqrt(27))
+
+    def test_blocked_norms_equal_the_whole_matrix_formula(self):
+        """The norms, summed one row block at a time, have the bits of
+        squaring a float copy of the whole matrix, also where entries near
+        2^31 have squares past 2^53 that round."""
+        rng = np.random.default_rng(15)
+        shape = (2 * NORM_BLOCK_ROWS + 5, 37)
+        m = rng.integers(2**31 - 999, 2**31 + 999, size=shape)
+        m *= rng.choice([-1, 1], size=m.shape)
+        cloud = align([(f"r{i:05d}", 0, r.tolist(), None, None, None)
+                       for i, r in enumerate(m)])
+        assert np.array_equal(cloud.matrix, m)
+        squares = (m.astype(float) ** 2).sum(axis=1)
+        assert any(int(s) != sum(int(x) ** 2 for x in r)
+                   for s, r in zip(squares, m.tolist()))  # rounding happens
+        assert np.array_equal(cloud.norms, np.sqrt(squares))
+
+    def test_peak_memory_is_the_matrix_and_one_norm_block(
+            self, double_twist_91):
+        """align holds its int64 matrix and one float block of
+        NORM_BLOCK_ROWS rows, never a float copy of the whole matrix."""
+        cloud = double_twist_91
+        m = cloud.matrix
+        rows = [(rid, cloud.min_degree, r.tolist(), None, None, c)
+                for rid, r, c in zip(cloud.row_ids, m,
+                                     cloud.crossing_numbers)]
+        again, peak = traced_peak(lambda: align(rows))
+        assert np.array_equal(again.matrix, m)
+        block = min(NORM_BLOCK_ROWS, len(m)) * m.shape[1] * 8
+        assert peak < m.nbytes + block + 0.1 * m.nbytes

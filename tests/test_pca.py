@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,10 +7,13 @@ from hypothesis import given, settings, strategies as st
 from knotfold.errors import DimensionMismatch, InsufficientData, NotSymmetric
 from knotfold.pca import (
     CovarianceAccumulator,
+    _one_blas_thread,
     dimension_estimate,
     project,
     sym_eig,
 )
+
+from conftest import traced_peak
 
 
 def random_symmetric(n, seed):
@@ -58,6 +63,34 @@ class TestAccumulator:
             CovarianceAccumulator(5).add_block(x[33:]))
         rel = np.abs(whole.finalize() - parts.finalize()).max()
         assert rel <= 1e-10 * max(1.0, np.abs(whole.finalize()).max())
+
+    def test_empty_block_is_a_silent_no_op(self):
+        x = np.random.default_rng(5).standard_normal((4, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            empty = CovarianceAccumulator(3)
+            assert empty.add_block(np.empty((0, 3))) is empty
+            assert empty.count == 0
+            acc = CovarianceAccumulator(3).add_block(x)
+            mean, m2 = acc.mean.copy(), acc.m2.copy()
+            assert acc.add_block(np.empty((0, 3))) is acc
+        assert acc.count == 4
+        assert np.array_equal(acc.mean, mean) and np.array_equal(acc.m2, m2)
+        with pytest.raises(DimensionMismatch):
+            CovarianceAccumulator(3).add_block(np.empty((0, 4)))
+
+    def test_same_bits_as_the_written_out_moments(self):
+        """One block gives the bits of centering a copy and of (K + K^T)/2,
+        the covariance's defining formulas."""
+        x = np.random.default_rng(6).standard_normal((40, 7)) * 1e3
+        acc = CovarianceAccumulator(7).add_block(x)
+        centered = x - x.mean(axis=0)
+        with _one_blas_thread():
+            m2 = centered.T @ centered
+        k = m2 / 39
+        assert np.array_equal(acc.mean, x.mean(axis=0))
+        assert np.array_equal(acc.m2, m2)
+        assert np.array_equal(acc.finalize(), (k + k.T) / 2.0)
 
     def test_permutation_invariance(self):
         x = np.random.default_rng(3).standard_normal((40, 4))
@@ -124,6 +157,21 @@ class TestSymEig:
         for i in range(12):
             col = es.eigenvectors[:, i]
             assert col[np.argmax(np.abs(col))] > 0
+
+    def test_symmetric_input_skips_symmetrization_bit_for_bit(self):
+        """An exactly symmetric K goes to eigh as it is, and a K that is
+        symmetric only to round-off is symmetrized first; both give the
+        bits of eigh((K + K^T) / 2)."""
+        k = random_symmetric(40, 8)
+        skewed = k.copy()
+        skewed[3, 5] += 1e-13
+        for m in (k, skewed):
+            with _one_blas_thread():
+                lam, vec = np.linalg.eigh((m + m.T) / 2.0)
+            es = sym_eig(m)
+            assert np.array_equal(es.eigenvalues, lam[::-1])
+            assert np.array_equal(np.abs(es.eigenvectors),
+                                  np.abs(vec[:, ::-1]))
 
     def test_deterministic(self):
         k = random_symmetric(30, 9)
@@ -203,3 +251,47 @@ class TestProjection:
         es = sym_eig(acc.finalize())
         with pytest.raises(DimensionMismatch):
             project(x, acc.mean, es, 5)
+
+
+class TestInputsUnchanged:
+    """The PCA core centers and symmetrizes private copies: a float64
+    input array comes back with the same bits."""
+
+    def test_add_block_finalize_sym_eig_project(self):
+        x = np.random.default_rng(14).standard_normal((30, 5))
+        x_before = x.copy()
+        acc = CovarianceAccumulator(5).add_block(x)
+        assert np.array_equal(x, x_before)
+        m2_before = acc.m2.copy()
+        k = acc.finalize()
+        assert np.array_equal(acc.m2, m2_before)
+        skewed = k.copy()
+        skewed[0, 1] += 1e-14
+        for m in (k, skewed):
+            m_before = m.copy()
+            es = sym_eig(m)
+            assert np.array_equal(m, m_before)
+        mean_before = acc.mean.copy()
+        project(x, acc.mean, es, 3)
+        assert np.array_equal(x, x_before)
+        assert np.array_equal(acc.mean, mean_before)
+
+
+class TestMemory:
+    """A block or a projection holds at most one float copy of its matrix
+    at a time; numpy reports its buffers to tracemalloc, so the peaks
+    repeat exactly."""
+
+    def test_add_block_peaks_below_one_and_a_half_copies(
+            self, double_twist_91):
+        m = double_twist_91.matrix
+        acc = CovarianceAccumulator(m.shape[1])
+        _, peak = traced_peak(lambda: acc.add_block(m))
+        assert peak < 1.5 * m.size * 8
+
+    def test_project_peaks_below_one_and_a_half_copies(self, double_twist_91):
+        m = double_twist_91.matrix
+        acc = CovarianceAccumulator(m.shape[1]).add_block(m)
+        es = sym_eig(acc.finalize())
+        _, peak = traced_peak(lambda: project(m, acc.mean, es, 3))
+        assert peak < 1.5 * m.size * 8
