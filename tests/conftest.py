@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from knotfold.diagrams import parse_dt, realize_dt
+from knotfold.families import family_cloud
 from knotfold.laurent import LaurentPolynomial
 
 def pytest_collection_modifyitems(session, config, items):
@@ -84,8 +85,6 @@ def fixture_path():
 @pytest.fixture(scope="session")
 def double_twist_91():
     """The double twist <= 91 family cloud, 1541 rows of width 181."""
-    from knotfold.families import family_cloud
-
     return family_cloud("double_twist", 91)[1]
 
 
