@@ -10,7 +10,7 @@ import sys
 import click
 
 from .diagrams import DT_CONVENTIONS
-from .errors import BadEnvironment, KnotfoldError
+from .errors import BadEnvironment, KnotfoldError, Unreadable
 from .pipeline import (
     FORMATS,
     AnalysisConfig,
@@ -174,6 +174,15 @@ def analyze_cmd(paths, fmt, dt_sign_convention, family, max_crossings,
                    f"dimension={s.dimension}")
 
 
+def _read(path):
+    """A bundle file's text, or Unreadable naming it."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:
+        raise Unreadable(f"cannot read {path}: {exc}") from None
+
+
 @main.command("export")
 @click.option("--what",
               type=click.Choice(["spectrum", "trajectory", "angles",
@@ -182,24 +191,24 @@ def analyze_cmd(paths, fmt, dt_sign_convention, family, max_crossings,
 @click.option("--out", type=click.Path(exists=True, file_okay=False),
               required=True,
               help="report bundle directory written by analyze")
+@_report_errors
 def export_cmd(what, out):
     """Print a report artifact from an analysis bundle to stdout; the
     spectrum prints one block per step, in the run_manifest's step order."""
     if what == "spectrum":
+        path = os.path.join(out, "run_manifest")
         try:
-            with open(os.path.join(out, "run_manifest")) as fh:
-                steps = json.load(fh)["steps"]
-        except OSError:
-            steps = []
-        names = [f"spectrum_step_{s['label']}.csv" for s in steps]
+            steps = (json.loads(_read(path))["steps"]
+                     if os.path.exists(path) else [])
+            names = [f"spectrum_step_{s['label']}.csv" for s in steps]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise Unreadable(f"{path} is not a run manifest: {exc!r}") from None
     else:
         names = sorted(f for f in os.listdir(out) if f.startswith(what))
     if not names:
-        click.echo(f"error: no {what} artifact in {out}", err=True)
-        sys.exit(1)
+        raise KnotfoldError(f"no {what} artifact in {out}")
     for name in names:
-        with open(os.path.join(out, name)) as fh:
-            sys.stdout.write(fh.read())
+        sys.stdout.write(_read(os.path.join(out, name)))
 
 
 if __name__ == "__main__":

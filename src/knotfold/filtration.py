@@ -37,14 +37,10 @@ def _class_match(alternating, class_filter):
 
 @dataclass(frozen=True)
 class FiltrationStep:
-    """One level of a filtration: a label and its aligned cloud (or None)."""
+    """One level of a filtration: a label and its aligned cloud."""
 
     label: str
     cloud: AlignedCloud
-
-    @property
-    def empty(self):
-        return self.cloud is None
 
 
 def record_cloud(records):
@@ -67,9 +63,9 @@ def crossing_filtration(cloud, k_min, k_max, class_filter="all"):
     Steps come one at a time, in order, so a caller holds only the step it
     works on.  Each is the subset of the cloud's rows that pass the class
     filter and have crossing number <= k, cut to the degree window those
-    rows span, so it equals aligning that step alone.  Empty steps are
-    reported with a None cloud rather than raised.  A cloud with a row
-    that has no crossing number is refused at the call.
+    rows span, so it equals aligning that step alone.  A k with no such row
+    has no step, and none is visited.  A cloud with a row that has no
+    crossing number is refused at the call.
     """
     if k_min > k_max:
         raise ValueError(f"k_min {k_min} exceeds k_max {k_max}")
@@ -79,34 +75,29 @@ def crossing_filtration(cloud, k_min, k_max, class_filter="all"):
     chosen = _class_rows(cloud, class_filter)
     crossings = np.array(cloud.crossing_numbers)
     spans = cloud.row_spans()
+    first = int(crossings[chosen].min()) if chosen.any() else k_max + 1
 
     def steps():
-        for k in range(k_min, k_max + 1):
+        for k in range(max(k_min, first), k_max + 1):
             rows = np.flatnonzero(chosen & (crossings <= k))
-            yield FiltrationStep(
-                str(k), cloud.select(rows, spans) if len(rows) else None)
+            yield FiltrationStep(str(k), cloud.select(rows, spans))
 
     return steps()
 
 
-def class_cloud(cloud, class_filter):
-    """The cloud's rows that pass the class filter, cut to the degree window
-    they span; EmptyFamily when none does."""
-    rows = np.flatnonzero(_class_rows(cloud, class_filter))
-    if not len(rows):
-        raise EmptyFamily("cannot align an empty family")
-    return cloud.select(rows)
-
-
-def norm_filtration(cloud, levels):
-    """Central-norm subsets doubling in size up to the full cloud.
+def norm_filtration(cloud, levels, class_filter="all"):
+    """Central-norm subsets doubling in size up to the n rows that pass the
+    class filter (EmptyFamily when none does).
 
     Level i (i = levels-1 .. 0) keeps the ceil(n / 2^i) rows of smallest
-    norm (ties broken by row id).  All levels share the parent cloud's
-    degree window.
+    norm (ties broken by row id), in the degree window the n rows span.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
+    rows = np.flatnonzero(_class_rows(cloud, class_filter))
+    if not len(rows):
+        raise EmptyFamily("cannot align an empty family")
+    cloud = cloud.select(rows)
     n = len(cloud.row_ids)
     order = sorted(range(n), key=lambda i: (cloud.norms[i], cloud.row_ids[i]))
     steps = []
@@ -149,13 +140,15 @@ def step_spectrum(step, variance_threshold=0.95):
 
 
 def eigensystem_trajectory(steps, variance_threshold=0.95):
-    """Per-step spectra for the steps holding enough rows for a PCA.
-
-    Empty steps and one-record steps (whose covariance is undefined)
-    are skipped.
-    """
-    return [step_spectrum(s, variance_threshold) for s in steps
-            if not s.empty and len(s.cloud.row_ids) >= 2]
+    """Per-step spectra of the steps holding enough rows for a PCA (one-record
+    steps, whose covariance is undefined, are skipped), and the cloud of the
+    last of them, or None."""
+    spectra, top = [], None
+    for s in steps:
+        if len(s.cloud.row_ids) >= 2:
+            top = s.cloud  # before the PCA, so the previous step is freed
+            spectra.append(step_spectrum(s, variance_threshold))
+    return spectra, top
 
 
 def embed_direction(vec, src_window, dst_window):
@@ -170,7 +163,7 @@ def embed_direction(vec, src_window, dst_window):
     return out
 
 
-def angle_trajectory(spectra, tracked=TRACKED_COMPONENTS):
+def angle_trajectory(spectra):
     """Principal angles between consecutive steps, per tracked component.
 
     theta_{i,j} is the angle between v = v_i(step j+1) and w =
@@ -181,7 +174,7 @@ def angle_trajectory(spectra, tracked=TRACKED_COMPONENTS):
     """
     out = []
     for prev, cur in zip(spectra, spectra[1:]):
-        k = min(tracked, prev.ambient_dim, cur.ambient_dim)
+        k = min(TRACKED_COMPONENTS, prev.ambient_dim, cur.ambient_dim)
         for i in range(k):
             v_prev = embed_direction(prev.eigensystem.eigenvectors[:, i],
                                      (prev.min_degree, prev.max_degree),
@@ -205,9 +198,9 @@ def relative_spread(values):
     return (max(values) - min(values)) / mean * 100.0
 
 
-def spread_table(spectra, tracked=TRACKED_COMPONENTS):
+def spread_table(spectra):
     """Relative spread of each tracked normalized variance across steps."""
-    k = min([tracked] + [s.ambient_dim for s in spectra])
+    k = min([TRACKED_COMPONENTS] + [s.ambient_dim for s in spectra])
     table = []
     for i in range(k):
         series = [float(s.eigensystem.normalized[i]) for s in spectra]
@@ -223,9 +216,7 @@ def norm_histogram(cloud, bins):
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    r_max = float(cloud.norms.max()) if len(cloud.norms) else 1.0
-    if r_max == 0:
-        r_max = 1.0
+    r_max = float(cloud.norms.max()) or 1.0
     edges = np.linspace(0.0, r_max, bins + 1)
     flags = np.array([bool(f) for f in cloud.class_flags])
     alt, _ = np.histogram(cloud.norms[flags], bins=edges)

@@ -437,12 +437,12 @@ def run_analysis(cloud, config, out_dir, digests=(), log=None):
         steps = F.crossing_filtration(cloud, config.k_min, config.k_max,
                                       config.class_filter)
     elif config.filtration == "norm":
-        chosen = F.class_cloud(cloud, config.class_filter)
-        steps = F.norm_filtration(chosen, config.levels)
+        steps = F.norm_filtration(cloud, config.levels, config.class_filter)
     else:
         raise UnknownFormat(f"unknown filtration {config.filtration!r}")
 
-    spectra = F.eigensystem_trajectory(steps, config.variance_threshold)
+    # top, the last step analyzed: crossing number <= k_max, or all class rows
+    spectra, top = F.eigensystem_trajectory(steps, config.variance_threshold)
     if not spectra:
         raise KnotfoldError("no non-empty filtration steps")
 
@@ -468,14 +468,7 @@ def run_analysis(cloud, config, out_dir, digests=(), log=None):
                    ("component", "spread_percent"),
                    F.spread_table(spectra))
 
-    # The last non-empty step is the top one: crossing number <= k_max, or
-    # the whole class-filtered cloud.
-    if config.filtration == "crossing":
-        last = next(F.crossing_filtration(cloud, config.k_max, config.k_max,
-                                          config.class_filter)).cloud
-    else:
-        last = chosen
-    edges, counts = F.norm_histogram(last, config.bins)
+    edges, counts = F.norm_histogram(top, config.bins)
     for cls, series in counts.items():
         _write_csv(os.path.join(out_dir, f"histogram_{cls}.csv"),
                    ("bin_low", "bin_high", "count"),
@@ -484,14 +477,14 @@ def run_analysis(cloud, config, out_dir, digests=(), log=None):
 
     final = spectra[-1]
     k = min(F.PROJECTION_COMPONENTS, final.ambient_dim)
-    coords = project(last.matrix, final.mean, final.eigensystem, k)
+    coords = project(top.matrix, final.mean, final.eigensystem, k)
     _write_csv(os.path.join(out_dir, "projection.csv"),
                ("id",) + tuple(f"pc{i+1}" for i in range(k)) + ("sigma",),
-               [(last.row_ids[r],)
+               [(top.row_ids[r],)
                 + tuple(float(c) for c in coords[r])
-                + ("" if last.sigma_values[r] is None
-                   else str(last.sigma_values[r]),)
-                for r in range(len(last.row_ids))])
+                + ("" if top.sigma_values[r] is None
+                   else str(top.sigma_values[r]),)
+                for r in range(len(top.row_ids))])
 
     manifest = {
         "config": config.to_dict(),

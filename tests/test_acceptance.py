@@ -180,7 +180,7 @@ def test_criterion_7_crossing_filtration_dt13():
     t0 = time.time()
     records = dt13_records()
     steps = crossing_filtration(record_cloud(records), 11, 13)
-    spectra = eigensystem_trajectory(steps)
+    spectra, _ = eigensystem_trajectory(steps)
     assert [s.label for s in spectra] == ["11", "12", "13"]
     for s in spectra:
         assert 0.986 <= float(s.eigensystem.cumulative[2]) <= 0.994, s.label
@@ -221,7 +221,7 @@ def test_criterion_8_property_suite(fixture_diagrams, tmp_path):
                for n, d in fixture_diagrams.items()]
     records = [canonical_orientation(r) for r in records]
     steps = list(crossing_filtration(record_cloud(records), 4, 6))
-    spectra = eigensystem_trajectory(steps)
+    spectra, _ = eigensystem_trajectory(steps)
     for _, _, theta in angle_trajectory(spectra):
         assert 0.0 <= theta <= math.pi / 2 + 1e-12
     for _, _, theta in angle_trajectory([spectra[-1], spectra[-1]]):
@@ -249,12 +249,16 @@ def test_criterion_8_property_suite(fixture_diagrams, tmp_path):
         recs, failures = compute_batch(ds, InvariantCache(cpath),
                                        workers=workers)
         assert not failures
-        caches.append(open(cpath, "rb").read())
+        with open(cpath, "rb") as fh:
+            caches.append(fh.read())
         out = str(tmp_path / f"rep_{workers}")
         run_analysis(record_cloud(recs), AnalysisConfig(), out,
                      digests=[ds.digest])
-        bundles.append({name: open(os.path.join(out, name), "rb").read()
-                        for name in sorted(os.listdir(out))})
+        bundle = {}
+        for name in sorted(os.listdir(out)):
+            with open(os.path.join(out, name), "rb") as fh:
+                bundle[name] = fh.read()
+        bundles.append(bundle)
     assert caches[0] == caches[1]
     assert bundles[0] == bundles[1]
 

@@ -5,10 +5,11 @@ import pytest
 
 from knotfold import filtration
 from knotfold.cloud import AlignedCloud, KnotRecord, align
-from knotfold.errors import Unsupported, WindowOverflow
+from knotfold.errors import EmptyFamily, Unsupported, WindowOverflow
 from knotfold.families import family_cloud
 from knotfold.filtration import (
     CLASS_FILTERS,
+    TRACKED_COMPONENTS,
     FiltrationStep,
     _class_match,
     angle_trajectory,
@@ -63,7 +64,8 @@ def make_cloud(matrix):
 
 
 def per_step_filtration(records, k_min, k_max, class_filter="all"):
-    """Oracle: every step selected, sorted and aligned on its own."""
+    """Oracle: every step with rows selected, sorted and aligned on its
+    own."""
     steps = []
     for k in range(k_min, k_max + 1):
         chosen = [r for r in records
@@ -71,7 +73,6 @@ def per_step_filtration(records, k_min, k_max, class_filter="all"):
                   and _class_match(r.alternating, class_filter)]
         chosen.sort(key=lambda r: r.id)
         if not chosen:
-            steps.append(FiltrationStep(str(k), None))
             continue
         steps.append(FiltrationStep(str(k), align(
             [row(r.id, r.jones, r.alternating, r.sigma, r.crossing_number)
@@ -82,9 +83,7 @@ def per_step_filtration(records, k_min, k_max, class_filter="all"):
 def assert_same_steps(got, want):
     assert [s.label for s in got] == [s.label for s in want]
     for g, w in zip(got, want):
-        assert g.empty == w.empty, g.label
-        if not w.empty:
-            assert_same_cloud(g.cloud, w.cloud, g.label)
+        assert_same_cloud(g.cloud, w.cloud, g.label)
 
 
 class TestCrossingFiltrationMatchesPerStep:
@@ -170,9 +169,18 @@ class TestCrossingFiltration:
                                   large.matrix[j, shift:shift + w]), name
 
     def test_empty_steps_reported(self):
-        steps = steps_of(fixture_records(), 1, 3,
-                                    class_filter="nonalternating")
-        assert all(s.empty for s in steps)
+        """A k without rows yields no step."""
+        assert steps_of(fixture_records(), 1, 3,
+                        class_filter="nonalternating") == []
+
+    def test_first_step_is_populated(self):
+        """The steps start at the smallest populated crossing number, so a
+        far lower k_min visits no empty k and yields the same steps."""
+        records = fixture_records()
+        first = next(crossing_filtration(record_cloud(records), -10**12, 6))
+        assert first.label == str(min(r.crossing_number for r in records))
+        assert_same_steps(steps_of(records, -10**12, 6),
+                          steps_of(records, 0, 6))
 
     def test_class_filter(self):
         steps = steps_of(fixture_records(), 6, 6,
@@ -198,6 +206,23 @@ class TestCrossingFiltration:
 
 
 class TestNormFiltration:
+    def test_class_filter(self):
+        """The levels are cut from the class-filtered rows, in the window
+        they span."""
+        cloud = align([row(f"r{k}", LaurentPolynomial.monomial(k, k),
+                           alternating=k % 2 == 0) for k in range(1, 9)])
+        steps = norm_filtration(cloud, 2, "alternating")
+        assert [s.cloud.row_ids for s in steps] == [("r2", "r4"),
+                                                    ("r2", "r4", "r6", "r8")]
+        assert all((s.cloud.min_degree, s.cloud.max_degree) == (2, 8)
+                   for s in steps)
+
+    def test_no_class_rows(self):
+        """A class filter that keeps no row is refused at the call."""
+        with pytest.raises(EmptyFamily):
+            norm_filtration(staircase_cloud(4).subcloud([1, 3], 0, 0), 2,
+                            "nonalternating")
+
     def test_sizes_and_radii(self):
         steps = norm_filtration(staircase_cloud(8), 3)
         assert [s.label for s in steps] == ["r_2", "r_1", "r_0"]
@@ -239,11 +264,22 @@ class TestSpectra:
         assert abs(spec.eigensystem.cumulative[-1] - 1.0) <= 1e-12
 
     def test_trajectory_skips_empty(self):
+        """No step is made for an empty k; the top cloud is the last step
+        analyzed."""
         records = [r for r in fixture_records() if r.crossing_number >= 5]
         steps = steps_of(records, 4, 6)
-        assert steps[0].empty
-        specs = eigensystem_trajectory(steps)
+        assert [s.label for s in steps] == ["5", "6"]
+        specs, top = eigensystem_trajectory(steps)
         assert [s.label for s in specs] == ["5", "6"]
+        assert top is steps[-1].cloud
+
+    def test_trajectory_skips_one_record_steps(self):
+        steps = steps_of(fixture_records(), -1, 4)
+        assert [len(s.cloud.row_ids) for s in steps] == [1, 1, 1, 2, 3]
+        specs, top = eigensystem_trajectory(steps)
+        assert [s.label for s in specs] == ["3", "4"]
+        assert top is steps[-1].cloud
+        assert eigensystem_trajectory(steps[:3]) == ([], None)
 
 
 class TestEmbedDirection:
@@ -269,11 +305,12 @@ class TestAngles:
 
     def test_range_and_labels(self):
         steps = steps_of(fixture_records(), 4, 6)
-        rows = angle_trajectory(eigensystem_trajectory(steps), tracked=3)
+        rows = angle_trajectory(eigensystem_trajectory(steps)[0])
         labels = {label for label, _, _ in rows}
         assert labels == {"4->5", "5->6"}
+        assert {idx for _, idx, _ in rows} == set(
+            range(1, TRACKED_COMPONENTS + 1))
         for _, idx, theta in rows:
-            assert 1 <= idx <= 3
             assert 0.0 <= theta <= math.pi / 2 + 1e-12
 
     def test_swapped_components_give_right_angle(self):
@@ -281,7 +318,7 @@ class TestAngles:
         b = make_cloud([[0, 3], [0, -3], [0, 1], [0, -1], [1, 0], [-1, 0]])
         specs = [step_spectrum(FiltrationStep("a", a)),
                  step_spectrum(FiltrationStep("b", b))]
-        for _, _, theta in angle_trajectory(specs, tracked=2):
+        for _, _, theta in angle_trajectory(specs):
             assert theta == pytest.approx(math.pi / 2)
 
 
@@ -298,8 +335,9 @@ class TestSpread:
 
     def test_table_shape(self):
         steps = steps_of(fixture_records(), 4, 6)
-        table = spread_table(eigensystem_trajectory(steps), tracked=4)
-        assert [i for i, _ in table] == [1, 2, 3, 4]
+        table = spread_table(eigensystem_trajectory(steps)[0])
+        assert [i for i, _ in table] == list(
+            range(1, TRACKED_COMPONENTS + 1))
         assert all(v >= 0 for _, v in table)
 
 

@@ -91,12 +91,14 @@ def run_cli(args, **env):
                           env=env, capture_output=True, text=True, timeout=300)
 
 
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def bundle_bytes(out_dir):
-    data = {}
-    for name in sorted(os.listdir(out_dir)):
-        with open(os.path.join(out_dir, name), "rb") as fh:
-            data[name] = fh.read()
-    return data
+    return {name: read_bytes(os.path.join(out_dir, name))
+            for name in sorted(os.listdir(out_dir))}
 
 
 class TestIngest:
@@ -109,7 +111,7 @@ class TestIngest:
     def test_digest_stability(self):
         a = ingest([FIXTURE_FILE]).digest
         b = ingest([FIXTURE_FILE]).digest
-        raw = open(FIXTURE_FILE, "rb").read()
+        raw = read_bytes(FIXTURE_FILE)
         assert a == b == hashlib.sha256(raw).hexdigest()
 
     def test_rejects_with_line_numbers(self, tmp_path):
@@ -219,19 +221,19 @@ class TestComputeBatch:
         ds = ingest([FIXTURE_FILE])
         path = str(tmp_path / "cache.txt")
         compute_batch(ds, InvariantCache(path), workers=1)
-        first = open(path, "rb").read()
+        first = read_bytes(path)
         cache = InvariantCache(path)
         assert all(cache.get(record_key("dt", "a", r)) for r in ds.records)
         records, failures = compute_batch(ds, cache, workers=1)
         assert len(records) == 8 and not failures
-        assert open(path, "rb").read() == first
+        assert read_bytes(path) == first
 
     def test_worker_count_does_not_change_cache(self, tmp_path):
         ds = ingest([FIXTURE_FILE])
         p1, p2 = str(tmp_path / "c1.txt"), str(tmp_path / "c2.txt")
         compute_batch(ds, InvariantCache(p1), workers=1)
         compute_batch(ds, InvariantCache(p2), workers=3)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert read_bytes(p1) == read_bytes(p2)
 
     def test_crash_resume_equivalence(self, tmp_path):
         """A cache truncated mid-run resumes to the same final bytes."""
@@ -243,7 +245,7 @@ class TestComputeBatch:
             for line in list(src)[:3]:
                 dst.write(line)
         compute_batch(ds, InvariantCache(partial), workers=1)
-        assert open(partial, "rb").read() == open(full, "rb").read()
+        assert read_bytes(partial) == read_bytes(full)
 
     def test_bracket_needs_no_division(self, tmp_path):
         """The sweep returns the bracket itself: LaurentPolynomial has no
@@ -271,7 +273,7 @@ class TestComputeBatch:
         assert "kauffman_bracket" in called
         assert [name for name in called if "div" in name] == []
         assert got == want
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert read_bytes(p1) == read_bytes(p2)
 
     def test_torn_last_line_resumes_to_same_bytes(self, tmp_path):
         """A cache cut at any byte, inside its header or any line, resumes
@@ -526,7 +528,7 @@ class TestNonAlternating:
                                    workers=1)
         steps = list(crossing_filtration(record_cloud(records), 3, 8,
                                          "nonalternating"))
-        assert [s.label for s in steps if not s.empty] == ["8"]
+        assert [s.label for s in steps] == ["8"]
         assert steps[-1].cloud.row_ids == ("8_19",)
 
 
@@ -621,7 +623,8 @@ class TestRunAnalysis:
         names = set(os.listdir(out))
         assert EXPECTED_BUNDLE | {f"spectrum_step_{s.label}" + ".csv"
                                   for s in spectra} == names
-        manifest = json.load(open(os.path.join(out, "run_manifest")))
+        with open(os.path.join(out, "run_manifest")) as fh:
+            manifest = json.load(fh)
         assert manifest["record_count"] == 8
         assert manifest["dataset_digests"] == ["x"]
         assert [s["label"] for s in manifest["steps"]] == ["3", "4", "5", "6"]
@@ -641,6 +644,26 @@ class TestRunAnalysis:
                                out)
         assert [s.label for s in spectra] == ["r_2", "r_1", "r_0"]
         assert os.path.exists(os.path.join(out, "spectrum_step_r_0.csv"))
+
+    @pytest.mark.parametrize("kind", ["crossing", "norm"])
+    def test_one_filtration_pass(self, tmp_path, monkeypatch, kind):
+        """A run walks its filtration once; the histogram and projection
+        come from the top step of that walk, not from a second pass."""
+        from knotfold import filtration
+
+        calls = []
+        for name in ("crossing_filtration", "norm_filtration"):
+            def counted(*args, _name=name, _fn=getattr(filtration, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(filtration, name, counted)
+        out = tmp_path / "rep"
+        run_analysis(self._cloud(), AnalysisConfig(filtration=kind, k_max=5),
+                     str(out))
+        assert calls == [f"{kind}_filtration"]
+        rows = 5 if kind == "crossing" else 8
+        assert len((out / "projection.csv").read_text().splitlines()) == \
+            rows + 1
 
     def test_no_steps_raises(self, tmp_path):
         with pytest.raises(KnotfoldError):
@@ -918,6 +941,33 @@ class TestCli:
         assert result.output == "".join(
             (out / f"spectrum_step_{label}.csv").read_text()
             for label in labels)
+
+    @pytest.mark.parametrize("what, damage, named", [
+        ("spectrum", lambda out: (out / "run_manifest").write_text('{"ste'),
+         "run_manifest"),
+        ("spectrum", lambda out: (out / "run_manifest").write_text("{}"),
+         "run_manifest"),
+        ("spectrum", lambda out: (out / "spectrum_step_4.csv").unlink(),
+         "spectrum_step_4.csv"),
+        ("histogram", lambda out: (out / "histogram_z").mkdir(),
+         "histogram_z"),
+    ], ids=["truncated_manifest", "manifest_without_steps",
+            "missing_step_file", "directory_artifact"])
+    def test_export_damaged_bundle(self, tmp_path, what, damage, named):
+        """A damaged bundle ends as one error line naming the file, with
+        exit status 1, never a traceback."""
+        runner = CliRunner()
+        out = tmp_path / "rep"
+        assert runner.invoke(main, ["analyze", FIXTURE_FILE,
+                                    "--out", str(out)]).exit_code == 0
+        damage(out)
+        result = runner.invoke(main, ["export", "--what", what,
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        error = result.stderr.splitlines()
+        assert len(error) == 1 and error[0].startswith("error: ")
+        assert str(out / named) in error[0]
 
 
 def test_bundle_independent_of_blas_threads(tmp_path):
