@@ -63,8 +63,25 @@ def ingest_cmd(paths, fmt):
     ds = ingest(paths, fmt)
     click.echo(f"digest {ds.digest}")
     click.echo(f"records {len(ds.records)} rejects {len(ds.rejects)}")
+    _echo_rejects(ds)
+
+
+def _echo_rejects(ds):
     for path, lineno, reason in ds.rejects:
         click.echo(f"reject {path}:{lineno} {reason}", err=True)
+
+
+def _computed(paths, fmt, store, workers, convention):
+    """Ingest the dataset files and compute their records into the store.
+    Each rejected line and each failed record gets a line on stderr.
+    Returns (dataset, records, failures)."""
+    ds = ingest(paths, fmt)
+    _echo_rejects(ds)
+    records, failures = compute_batch(ds, store, workers, convention,
+                                      max_failure_fraction=1.0)
+    for rid, reason in failures:
+        click.echo(f"failure {rid}: {reason}", err=True)
+    return ds, records, failures
 
 
 @main.command("compute")
@@ -80,13 +97,9 @@ def ingest_cmd(paths, fmt):
 @_report_errors
 def compute_cmd(paths, fmt, dt_sign_convention, cache, workers):
     """Compute canonicalized Jones invariants into the cache."""
-    ds = ingest(paths, fmt)
-    store = InvariantCache(cache)
-    records, failures = compute_batch(
-        ds, store, workers, dt_sign_convention, max_failure_fraction=1.0)
+    _, records, failures = _computed(paths, fmt, InvariantCache(cache),
+                                     workers, dt_sign_convention)
     click.echo(f"computed {len(records)} records, {len(failures)} failures")
-    for rid, reason in failures:
-        click.echo(f"failure {rid}: {reason}", err=True)
     if failures:
         sys.exit(2)
 
@@ -117,10 +130,9 @@ def _load_cloud(cache_path, paths, fmt, convention, family, max_crossings):
         return cloud, [digest]
     from .filtration import record_cloud
 
-    store = InvariantCache(cache_path)  # path None -> in-memory only
-    ds = ingest(paths, fmt)
-    records, _ = compute_batch(ds, store, convention=convention,
-                               max_failure_fraction=1.0)
+    # cache path None -> in-memory only
+    ds, records, _ = _computed(paths, fmt, InvariantCache(cache_path), None,
+                               convention)
     return record_cloud(records), [ds.digest]
 
 

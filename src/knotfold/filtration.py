@@ -11,7 +11,7 @@ angles between consecutive steps, relative spreads, and norm histograms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,16 +23,6 @@ TRACKED_COMPONENTS = 6
 PROJECTION_COMPONENTS = 3
 
 CLASS_FILTERS = ("all", "alternating", "nonalternating")
-
-
-def _class_match(alternating, class_filter):
-    if class_filter == "all":
-        return True
-    if class_filter == "alternating":
-        return bool(alternating)
-    if class_filter == "nonalternating":
-        return not alternating
-    raise ValueError(f"unknown class filter {class_filter!r}")
 
 
 @dataclass(frozen=True)
@@ -52,9 +42,16 @@ def record_cloud(records):
 
 
 def _class_rows(cloud, class_filter):
-    """Boolean mask of the cloud's rows that pass the class filter."""
-    return np.array([_class_match(f, class_filter) for f in cloud.class_flags],
-                    dtype=bool)
+    """Boolean mask of the cloud's rows that pass the class filter.  An
+    unknown alternating flag (None) counts as nonalternating."""
+    alternating = np.array(cloud.class_flags, dtype=bool)
+    if class_filter == "all":
+        return np.ones_like(alternating)
+    if class_filter == "alternating":
+        return alternating
+    if class_filter == "nonalternating":
+        return ~alternating
+    raise ValueError(f"unknown class filter {class_filter!r}")
 
 
 def crossing_filtration(cloud, k_min, k_max, class_filter="all"):
@@ -63,9 +60,11 @@ def crossing_filtration(cloud, k_min, k_max, class_filter="all"):
     Steps come one at a time, in order, so a caller holds only the step it
     works on.  Each is the subset of the cloud's rows that pass the class
     filter and have crossing number <= k, cut to the degree window those
-    rows span, so it equals aligning that step alone.  A k with no such row
-    has no step, and none is visited.  A cloud with a row that has no
-    crossing number is refused at the call.
+    rows span, so it equals aligning that step alone.  Only the k from the
+    smallest to the largest crossing number of those rows are visited (any
+    other would be empty or repeat the last step), but a k_min above them
+    all gets one step holding every such row.  A cloud with a row that has
+    no crossing number is refused at the call.
     """
     if k_min > k_max:
         raise ValueError(f"k_min {k_min} exceeds k_max {k_max}")
@@ -75,10 +74,13 @@ def crossing_filtration(cloud, k_min, k_max, class_filter="all"):
     chosen = _class_rows(cloud, class_filter)
     crossings = np.array(cloud.crossing_numbers)
     spans = cloud.row_spans()
-    first = int(crossings[chosen].min()) if chosen.any() else k_max + 1
+    first, last = k_max + 1, k_max  # no class row, no step
+    if chosen.any():
+        first = max(k_min, int(crossings[chosen].min()))
+        last = max(first, min(k_max, int(crossings[chosen].max())))
 
     def steps():
-        for k in range(max(k_min, first), k_max + 1):
+        for k in range(first, last + 1):
             rows = np.flatnonzero(chosen & (crossings <= k))
             yield FiltrationStep(str(k), cloud.select(rows, spans))
 
@@ -110,7 +112,9 @@ def norm_filtration(cloud, levels, class_filter="all"):
 
 @dataclass(frozen=True)
 class StepSpectrum:
-    """PCA output of one filtration step."""
+    """PCA output of one filtration step.  In an eigensystem_trajectory,
+    every step but the last holds only its first TRACKED_COMPONENTS
+    eigenvector columns."""
 
     label: str
     count: int
@@ -142,11 +146,18 @@ def step_spectrum(step, variance_threshold=0.95):
 def eigensystem_trajectory(steps, variance_threshold=0.95):
     """Per-step spectra of the steps holding enough rows for a PCA (one-record
     steps, whose covariance is undefined, are skipped), and the cloud of the
-    last of them, or None."""
+    last of them, or None.  Earlier spectra keep TRACKED_COMPONENTS
+    eigenvector columns, all the angles read; the last keeps every column,
+    for the projection."""
     spectra, top = [], None
     for s in steps:
         if len(s.cloud.row_ids) >= 2:
             top = s.cloud  # before the PCA, so the previous step is freed
+            if spectra:  # a copy: a view would keep the full basis alive
+                es = spectra[-1].eigensystem
+                tracked = es.eigenvectors[:, :TRACKED_COMPONENTS].copy()
+                spectra[-1] = replace(spectra[-1], eigensystem=replace(
+                    es, eigenvectors=tracked))
             spectra.append(step_spectrum(s, variance_threshold))
     return spectra, top
 
@@ -218,7 +229,7 @@ def norm_histogram(cloud, bins):
         raise ValueError("bins must be >= 1")
     r_max = float(cloud.norms.max()) or 1.0
     edges = np.linspace(0.0, r_max, bins + 1)
-    flags = np.array([bool(f) for f in cloud.class_flags])
+    flags = _class_rows(cloud, "alternating")
     alt, _ = np.histogram(cloud.norms[flags], bins=edges)
     nonalt, _ = np.histogram(cloud.norms[~flags], bins=edges)
     combined, _ = np.histogram(cloud.norms, bins=edges)

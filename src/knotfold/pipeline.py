@@ -29,7 +29,7 @@ from .errors import (
     UnknownFormat,
 )
 from .families import family_members, jones_double_twist, jones_torus
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, text_pattern
 from .signature import signature_from_diagram
 
 FORMATS = ("dt", "pd")
@@ -46,9 +46,8 @@ _HEADER = f"knotfold invariant cache, schema {SCHEMA_VERSION}\n".encode()
 # One cache line after the header: id;key;jones;sigma;alternating;mirror_applied
 # with the Jones polynomial in the text form LaurentPolynomial.to_text writes,
 # or id;key;!;Class: message for a record that failed.
-_TERM = r"\d+(?:\*q\^(?:-?\d+|\(-?\d+/2\)))?"
 _CACHE_LINE_RE = re.compile(
-    rf"[^;]+;[0-9a-f]{{64}};(?:(?:0|-?{_TERM}(?: [+-] {_TERM})*);(?:\?|-?\d+)"
+    rf"[^;]+;[0-9a-f]{{64}};(?:{text_pattern('q')};(?:\?|-?\d+)"
     r";[01];[01]|!;[A-Za-z_]\w*: .*)")
 
 

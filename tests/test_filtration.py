@@ -11,7 +11,6 @@ from knotfold.filtration import (
     CLASS_FILTERS,
     TRACKED_COMPONENTS,
     FiltrationStep,
-    _class_match,
     angle_trajectory,
     crossing_filtration,
     eigensystem_trajectory,
@@ -63,6 +62,12 @@ def make_cloud(matrix):
     )
 
 
+def in_class(alternating, class_filter):
+    """The class rule: an unknown alternating flag counts as nonalternating."""
+    return {"all": True, "alternating": bool(alternating),
+            "nonalternating": not alternating}[class_filter]
+
+
 def per_step_filtration(records, k_min, k_max, class_filter="all"):
     """Oracle: every step with rows selected, sorted and aligned on its
     own."""
@@ -70,7 +75,7 @@ def per_step_filtration(records, k_min, k_max, class_filter="all"):
     for k in range(k_min, k_max + 1):
         chosen = [r for r in records
                   if r.crossing_number <= k
-                  and _class_match(r.alternating, class_filter)]
+                  and in_class(r.alternating, class_filter)]
         chosen.sort(key=lambda r: r.id)
         if not chosen:
             continue
@@ -182,6 +187,21 @@ class TestCrossingFiltration:
         assert_same_steps(steps_of(records, -10**12, 6),
                           steps_of(records, 0, 6))
 
+    def test_last_step_is_populated(self):
+        """The steps end at the largest populated crossing number, so a far
+        higher k_max yields no repeat of the last step."""
+        records = fixture_records()
+        assert [s.label for s in steps_of(records, 3, 2000)] == \
+            ["3", "4", "5", "6"]
+        assert_same_steps(steps_of(records, 3, 2000), steps_of(records, 3, 6))
+
+    def test_k_min_above_the_data(self):
+        """A k_min above every crossing number gets one step, holding every
+        row."""
+        steps = steps_of(fixture_records(), 10, 20)
+        assert [s.label for s in steps] == ["10"]
+        assert len(steps[0].cloud.row_ids) == 8
+
     def test_class_filter(self):
         steps = steps_of(fixture_records(), 6, 6,
                                     class_filter="alternating")
@@ -280,6 +300,23 @@ class TestSpectra:
         assert [s.label for s in specs] == ["3", "4"]
         assert top is steps[-1].cloud
         assert eigensystem_trajectory(steps[:3]) == ([], None)
+
+    def test_earlier_steps_keep_tracked_directions(self):
+        """Every spectrum but the last keeps the tracked eigenvectors only,
+        and the angles and spreads read the same values as from whole
+        spectra."""
+        _, cloud = family_cloud("double_twist", 40)
+        steps = list(crossing_filtration(cloud, 20, 40))
+        specs, _ = eigensystem_trajectory(steps)
+        whole = [step_spectrum(s) for s in steps]
+        assert len(specs) == len(whole) > 2
+        for spec in specs[:-1]:
+            assert spec.eigensystem.eigenvectors.shape == (
+                spec.ambient_dim, min(TRACKED_COMPONENTS, spec.ambient_dim))
+        last = specs[-1]
+        assert last.eigensystem.eigenvectors.shape == (last.ambient_dim,) * 2
+        assert angle_trajectory(specs) == angle_trajectory(whole)
+        assert spread_table(specs) == spread_table(whole)
 
 
 class TestEmbedDirection:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,7 +8,7 @@ from knotfold.errors import (
     InexactDivision,
     VariableMismatch,
 )
-from knotfold.laurent import LaurentPolynomial
+from knotfold.laurent import LaurentPolynomial, text_pattern
 
 from oracles import exact_div
 
@@ -108,6 +110,16 @@ class TestTextForm:
     @given(polys)
     def test_roundtrip(self, a):
         assert LaurentPolynomial.from_text(a.to_text()) == a
+
+    @given(polys, st.dictionaries(st.integers(-9, 9).map(lambda e: 2 * e + 1),
+                                  st.integers(-9, 9), max_size=3))
+    def test_text_pattern_matches_to_text(self, a, halves):
+        """text_pattern matches every text to_text writes, half-integer
+        exponents included, and only in its own variable."""
+        text = (a + LaurentPolynomial({2 * e: c for e, c in halves.items()},
+                                      "q")).to_text()
+        assert re.fullmatch(text_pattern("q"), text)
+        assert bool(re.fullmatch(text_pattern("A"), text)) == ("q" not in text)
 
     def test_half_exponents_roundtrip(self):
         p = LaurentPolynomial({2: -1, -2: -1}, "q")

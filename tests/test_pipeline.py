@@ -700,6 +700,30 @@ class TestCli:
                    "--workers", "1"])
         assert result.exit_code == 2
 
+    def test_compute_and_analyze_report_what_they_drop(self, tmp_path):
+        """A rejected line and a failed record each get a line on stderr;
+        stdout and the exit codes stay as they were."""
+        p = tmp_path / "mixed.dt"
+        with open(FIXTURE_FILE) as fh:
+            p.write_text(fh.read() + "bad;3;4 x 2\nnr-5;5;4 6 8 10 2\n")
+        dropped = [f"reject {p}:10 NonInteger: DT token 'x' is not an integer",
+                   "failure nr-5: NotRealizable: DT code [4, 6, 8, 10, 2] "
+                   "admits no planar embedding"]
+        runner = CliRunner()
+        result = runner.invoke(main, ["compute", str(p), "--cache",
+                                      str(tmp_path / "c.txt"), "--workers", "1"])
+        assert result.exit_code == 2
+        assert result.stdout == "computed 8 records, 1 failures\n"
+        assert result.stderr.splitlines() == dropped
+        result = runner.invoke(main, ["analyze", str(p),
+                                      "--out", str(tmp_path / "rep")])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == "".join(
+            f"step {k}: n={n} d={d} dimension={m}\n"
+            for k, n, d, m in [(3, 2, 5, 1), (4, 3, 7, 2), (5, 5, 10, 3),
+                               (6, 8, 11, 3)])
+        assert result.stderr.splitlines()[:2] == dropped
+
     def test_generate(self, tmp_path):
         result = CliRunner().invoke(
             main, ["generate", "--family", "torus", "--max-crossings", "7",
