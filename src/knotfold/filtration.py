@@ -77,7 +77,7 @@ def crossing_filtration(cloud, k_min, k_max, class_filter="all"):
     first, last = k_max + 1, k_max  # no class row, no step
     if chosen.any():
         first = max(k_min, int(crossings[chosen].min()))
-        last = max(first, min(k_max, int(crossings[chosen].max())))
+        last = min(k_max, max(first, int(crossings[chosen].max())))
 
     def steps():
         for k in range(first, last + 1):

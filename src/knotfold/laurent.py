@@ -15,18 +15,11 @@ from .errors import VariableMismatch
 QUARTER = 4  # stored exponent = QUARTER * actual exponent
 
 
-def _term(var, group="(?:"):
-    """Regex of one unsigned term of the text form: a magnitude, then,
-    unless the term is constant, ``*var^`` and a whole or a half-integer
-    exponent.  ``group="("`` captures those four parts."""
-    g = group
-    return rf"{g}\d+)(?:\*{g}{var})\^(?:{g}-?\d+)|\({g}-?\d+)/2\)))?"
-
-
 def text_pattern(var="q"):
     """Regex source of the text form LaurentPolynomial.to_text writes for a
-    polynomial in ``var``."""
-    term = _term(var)
+    polynomial in ``var``: signed terms, each a magnitude then, unless the
+    term is constant, ``*var^`` and a whole or a half-integer exponent."""
+    term = rf"\d+(?:\*{var}\^(?:-?\d+|\(-?\d+/2\)))?"
     return rf"(?:0|-?{term}(?: [+-] {term})*)"
 
 
@@ -190,7 +183,8 @@ class LaurentPolynomial:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
 
-    _TERM_RE = re.compile(rf"^{_term('[Aq]', '(')}$")
+    _TERM_RE = re.compile(
+        r"^(\d+)(?:\*([Aq])\^(?:(-?\d+)|\((-?\d+)/2\)))?$")
 
     @classmethod
     def from_text(cls, text, var="q"):

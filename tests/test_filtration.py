@@ -202,6 +202,21 @@ class TestCrossingFiltration:
         assert [s.label for s in steps] == ["10"]
         assert len(steps[0].cloud.row_ids) == 8
 
+    def test_k_max_below_the_data(self):
+        """A k_max below every crossing number gets no step."""
+        assert steps_of(fixture_records(), -5, -1) == []
+
+    def test_k_max_below_the_class_rows(self):
+        """A k_max below every class-filtered crossing number gets no step,
+        though rows of the other class lie below it."""
+        records = fixture_records() + [
+            KnotRecord("8_19", 8, LaurentPolynomial.from_text(
+                "-1*q^8 + 1*q^5 + 1*q^3"), alternating=False)]
+        assert steps_of(records, 3, 7, class_filter="nonalternating") == []
+        steps = steps_of(records, 3, 9, class_filter="nonalternating")
+        assert [s.label for s in steps] == ["8"]
+        assert steps[0].cloud.row_ids == ("8_19",)
+
     def test_class_filter(self):
         steps = steps_of(fixture_records(), 6, 6,
                                     class_filter="alternating")
