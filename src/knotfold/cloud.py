@@ -19,12 +19,13 @@ from typing import TYPE_CHECKING
 from .errors import EmptyFamily
 from .laurent import LaurentPolynomial
 
-if TYPE_CHECKING:  # numpy loads in align, its one user
+if TYPE_CHECKING:  # numpy loads in the functions that use it
     import numpy as np
 
-# Rows squared per float block in align's norms: 2 KiB per column.  Kept
-# small because glibc raises its mmap threshold to the size of a freed
-# mapped block, which sends later mid-size arrays to the fragmenting heap:
+# Rows per float block in row_norms, in the covariance products and in the
+# projection: 2 KiB per column.  Kept small because glibc raises its mmap
+# threshold to the size of a freed mapped block, which sends later
+# mid-size arrays to the fragmenting heap:
 # torus <= 2000 (width 2998) peaks at 598 MB with 1024-row blocks and at
 # 581 MB with 256-row ones.
 NORM_BLOCK_ROWS = 256
@@ -116,14 +117,6 @@ class AlignedCloud:
             found, self.max_degree - nonzero[:, ::-1].argmax(axis=1), 0)
         return lows, highs
 
-    def select(self, rows, spans=None):
-        """The given rows (ascending row indices, at least one), cut to the
-        degree window they span.  ``spans`` is this cloud's row_spans(),
-        for callers that select many times."""
-        lows, highs = spans or self.row_spans()
-        return self.subcloud(rows, int(lows[rows].min()),
-                             int(highs[rows].max()))
-
     def subcloud(self, rows, min_degree, max_degree):
         """The given rows (ascending row indices), cut to [min_degree,
         max_degree]; this cloud itself when that cuts nothing.
@@ -156,9 +149,7 @@ def align(rows):
     crossing_number) rows into one cloud, in id order.
 
     Each row is written into one preallocated int64 matrix; numpy raises
-    OverflowError for any coefficient outside int64.  The norms square and
-    sum NORM_BLOCK_ROWS rows at a time in float, so no float copy of the
-    whole matrix is made; each row is reduced as it would be in one piece.
+    OverflowError for any coefficient outside int64.
     """
     import numpy as np
 
@@ -170,15 +161,23 @@ def align(rows):
     matrix = np.zeros((len(rows), hi - lo + 1), dtype=np.int64)
     for out, (_, start, coeffs, _, _, _) in zip(matrix, rows):
         out[start - lo:start - lo + len(coeffs)] = coeffs
-    squares = np.concatenate([
-        np.square(matrix[i:i + NORM_BLOCK_ROWS], dtype=float).sum(axis=1)
-        for i in range(0, len(rows), NORM_BLOCK_ROWS)])
     return AlignedCloud(
         row_ids=tuple(row[0] for row in rows),
         matrix=matrix,
         min_degree=lo,
-        norms=np.sqrt(squares),
+        norms=row_norms(matrix),
         class_flags=tuple(row[3] for row in rows),
         sigma_values=tuple(row[4] for row in rows),
         crossing_numbers=tuple(row[5] for row in rows),
     )
+
+
+def row_norms(matrix):
+    """The Euclidean norm of each row of an integer matrix, squared and
+    summed in float NORM_BLOCK_ROWS rows at a time, so no float copy of the
+    whole matrix is made; each row is reduced as it would be in one piece."""
+    import numpy as np
+
+    return np.sqrt(np.concatenate([
+        np.square(matrix[i:i + NORM_BLOCK_ROWS], dtype=float).sum(axis=1)
+        for i in range(0, len(matrix), NORM_BLOCK_ROWS)]))

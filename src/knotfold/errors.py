@@ -89,6 +89,10 @@ class NotSymmetric(KnotfoldError):
     pass
 
 
+class MomentOverflow(KnotfoldError):
+    """Integer moments would leave the range in which they are exact."""
+
+
 # --- pipeline ---
 
 class Unreadable(KnotfoldError):

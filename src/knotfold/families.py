@@ -4,10 +4,12 @@ Torus knots use the classical closed form, whose exact division by
 1 - q^2 is a stride-2 prefix sum.  Double twist knots C(m, n) take their
 writhe and Kauffman bracket from closed forms in m, n and their parities.
 Each formula lives in one row function (torus_row, double_twist_row) that
-returns a member's dense coefficient list at O(m + n) integer operations.
-family_cloud hands those lists straight to align, and its cloud is what
-an analysis runs on; jones_torus and jones_double_twist wrap the same
-lists as polynomials for the records that `generate` caches.
+returns a member's dense coefficient list at O(m + n) integer operations;
+jones_torus and jones_double_twist wrap those lists as polynomials for the
+records that `generate` caches.  family_cloud, whose cloud is what an
+analysis runs on, evaluates the same formulas vectorized over blocks of
+members (_torus_block, _double_twist_block), and the tests hold those to
+the row functions.
 
 The closed forms are checked against explicit diagrams from one builder,
 four_plat_diagram: the numerator closure of the rational tangle
@@ -22,7 +24,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import gcd
 
-from .cloud import align, prefers_mirror
+from .cloud import NORM_BLOCK_ROWS, AlignedCloud, prefers_mirror, row_norms
 from .diagrams import from_even_under
 from .errors import InexactDivision, NotAKnot, UnknownFormat
 from .laurent import QUARTER, LaurentPolynomial
@@ -233,22 +235,102 @@ def family_members(kind, limit):
     return f"{kind}-{limit}", members
 
 
+def _torus_block(m, n):
+    """torus_row of each (m[i], n[i]) as the rows of one int64 block, zero
+    past each row's m + n - 1 entries.
+
+    torus_row's division, vectorized: the numerator 1 - q^(m+1) - q^(n+1)
+    + q^(m+n) of each row is summed in place with stride 2, and vanishes
+    from entry m + n - 1 on because the division by 1 - q^2 is exact.
+    """
+    import numpy as np
+
+    rows = np.arange(len(m))
+    block = np.zeros((len(m), (m + n).max() + 1), dtype=np.int64)
+    block[:, 0] = 1
+    block[rows, m + 1] -= 1
+    block[rows, n + 1] -= 1
+    block[rows, m + n] += 1
+    for parity in (0, 1):
+        np.cumsum(block[:, parity::2], axis=1, out=block[:, parity::2])
+    return block
+
+
+def _double_twist_block(m, n):
+    """double_twist_row of each (m[i], n[i]) as the rows of one int64 block,
+    zero past each row's c + 1 = m + n + 1 entries.
+
+    This is _double_twist_coeffs reversed, j = c - i, and signed by
+    (-1)^w = (-1)^c, as the writhe has the parity of c: entry j is
+    (-1)^c ((-1)^(n+j) min(m, n, j, c-j), plus (-1)^n at j = 0, plus (-1)^m
+    at j = c, minus 1 at j = n).
+    """
+    import numpy as np
+
+    c = m + n
+    j = np.arange(c.max() + 1)
+    ramp = np.minimum(np.minimum(m, n)[:, None],
+                      np.minimum(j, c[:, None] - j)).clip(0)
+    block = np.where((n[:, None] + j) & 1, -ramp, ramp)
+    rows = np.arange(len(m))
+    block[:, 0] += np.where(n % 2, -1, 1)
+    block[rows, c] += np.where(m % 2, -1, 1)
+    block[rows, n] -= 1
+    block[c % 2 == 1] *= -1
+    return block
+
+
 def family_cloud(kind, limit):
     """(digest, cloud): the aligned cloud of a family.
 
-    Each member's dense row comes from its closed form, reversed when
-    prefers_mirror picks the mirror image, and goes straight to align, so
-    the cloud equals record_cloud of generate_family's canonicalized
-    records, without a polynomial or record per member.
+    The rows come from the vectorized closed form (_torus_block,
+    _double_twist_block) in int64 blocks of whole crossing numbers,
+    NORM_BLOCK_ROWS members or more each, entry j of a member's row on
+    q^(lo + j) with lo as in torus_row and double_twist_row.  Each
+    nonzero entry is written straight into the id-ordered matrix at its
+    degree, negated (q -> 1/q) where prefers_mirror picks the mirror image.
+    So the cloud equals record_cloud of generate_family's canonicalized
+    records, without a polynomial, record or coefficient list per member.
     """
+    import numpy as np
+
     digest, members = family_members(kind, limit)
-    row_of = torus_row if kind == "torus" else double_twist_row
-    rows = []
-    for rid, crossings, alternating, m, n in members:
-        lo4, coeffs = row_of(m, n)
-        lo = lo4 // QUARTER  # a knot's exponents are whole
-        hi = lo + len(coeffs) - 1
-        if prefers_mirror(lo, hi):
-            lo, coeffs = -hi, coeffs[::-1]
-        rows.append((rid, lo, coeffs, alternating, None, crossings))
-    return digest, align(rows)
+    m = np.array([mem[3] for mem in members])
+    n = np.array([mem[4] for mem in members])
+    if kind == "torus":
+        block_of, lo, hi = _torus_block, (m - 1) * (n - 1) // 2, m + n - 2
+    else:
+        w = np.where(m % 2, -(m + n), np.where(n % 2, m + n, n - m))  # writhe
+        block_of, lo, hi = _double_twist_block, 3 * w - m - 3 * n, m + n
+        lo //= QUARTER  # double_twist_row's lo4, in whole degrees
+    hi += lo
+    flip = np.array([prefers_mirror(a, b)
+                     for a, b in zip(lo.tolist(), hi.tolist())], dtype=bool)
+    low = int(np.where(flip, -hi, lo).min())
+    width = int(np.where(flip, -lo, hi).max()) - low + 1
+    ids = [mem[0] for mem in members]
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    dest = np.empty(len(ids), dtype=np.int64)
+    dest[order] = np.arange(len(ids))
+    matrix = np.zeros((len(ids), width), dtype=np.int64)
+    crossings = np.array([mem[1] for mem in members])
+    starts = [0]
+    for a in [*(np.flatnonzero(np.diff(crossings)) + 1).tolist(), len(ids)]:
+        if a - starts[-1] >= NORM_BLOCK_ROWS or a == len(ids):
+            starts.append(a)
+    for a, b in zip(starts, starts[1:]):
+        block = block_of(m[a:b], n[a:b])
+        r, j = np.nonzero(block)
+        r += a
+        degree = lo[r] + j
+        degree[flip[r]] *= -1
+        matrix[dest[r], degree - low] = block[r - a, j]
+    return digest, AlignedCloud(
+        row_ids=tuple(ids[i] for i in order),
+        matrix=matrix,
+        min_degree=low,
+        norms=row_norms(matrix),
+        class_flags=tuple(members[i][2] for i in order),
+        sigma_values=(None,) * len(ids),
+        crossing_numbers=tuple(members[i][1] for i in order),
+    )

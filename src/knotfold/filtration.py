@@ -1,15 +1,18 @@
 """Nested-family analyses: filtrations, spectra, and stability diagnostics.
 
 A filtration is an increasing sequence of knot sets, here by crossing
-number or by coefficient-vector norm.  Every step is a row and column
-slice of one aligned cloud (record_cloud, or families.family_cloud), cut
-to the degree window its rows span.  Each step gets its own PCA; the
-diagnostics compare steps: explained-variance trajectories, principal
-angles between consecutive steps, relative spreads, and norm histograms.
+number or by coefficient-vector norm.  Every step names a set of rows of
+one aligned cloud (record_cloud, or families.family_cloud) and the degree
+window they span; its own cloud is cut only when it is read.  Each step
+gets its own PCA, from exact integer moments that run over the steps: a
+step folds in only the rows it adds.  The diagnostics compare steps:
+explained-variance trajectories, principal angles between consecutive
+steps, relative spreads, and norm histograms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -25,12 +28,41 @@ PROJECTION_COMPONENTS = 3
 CLASS_FILTERS = ("all", "alternating", "nonalternating")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiltrationStep:
-    """One level of a filtration: a label and its aligned cloud."""
+    """One level of a filtration: a label, and the rows of a source cloud
+    it holds, cut to a degree window.
+
+    ``rows`` are ascending row indices of the source (all of them when not
+    given) and ``degrees`` is the window (min_degree, max_degree) (the
+    source's when not given); every row must be zero outside it.  The
+    step's own cloud is cut from the source when ``cloud`` is first read,
+    and kept.
+    """
 
     label: str
-    cloud: AlignedCloud
+    source: AlignedCloud
+    rows: np.ndarray = None
+    degrees: tuple = None
+
+    def __post_init__(self):
+        if self.rows is None:
+            object.__setattr__(self, "rows",
+                               np.arange(len(self.source.row_ids)))
+        if self.degrees is None:
+            object.__setattr__(self, "degrees", (self.source.min_degree,
+                                                 self.source.max_degree))
+
+    @functools.cached_property
+    def cloud(self):
+        return self.source.subcloud(self.rows, *self.degrees)
+
+
+def _window(rows, spans):
+    """The degree window (min_degree, max_degree) that the given rows span;
+    spans is their cloud's row_spans()."""
+    lows, highs = spans
+    return int(lows[rows].min()), int(highs[rows].max())
 
 
 def record_cloud(records):
@@ -82,7 +114,7 @@ def crossing_filtration(cloud, k_min, k_max, class_filter="all"):
     def steps():
         for k in range(first, last + 1):
             rows = np.flatnonzero(chosen & (crossings <= k))
-            yield FiltrationStep(str(k), cloud.select(rows, spans))
+            yield FiltrationStep(str(k), cloud, rows, _window(rows, spans))
 
     return steps()
 
@@ -99,14 +131,14 @@ def norm_filtration(cloud, levels, class_filter="all"):
     rows = np.flatnonzero(_class_rows(cloud, class_filter))
     if not len(rows):
         raise EmptyFamily("cannot align an empty family")
-    cloud = cloud.select(rows)
-    n = len(cloud.row_ids)
-    order = sorted(range(n), key=lambda i: (cloud.norms[i], cloud.row_ids[i]))
+    degrees = _window(rows, cloud.row_spans())
+    norms, ids = cloud.norms.tolist(), cloud.row_ids
+    order = sorted(rows.tolist(), key=lambda j: (norms[j], ids[j]))
     steps = []
     for i in range(levels - 1, -1, -1):
-        take = -(-n // (1 << i))  # ceil
-        steps.append(FiltrationStep(f"r_{i}", cloud.subcloud(
-            sorted(order[:take]), cloud.min_degree, cloud.max_degree)))
+        take = -(-len(order) // (1 << i))  # ceil
+        steps.append(FiltrationStep(f"r_{i}", cloud,
+                                    np.sort(order[:take]), degrees))
     return steps
 
 
@@ -126,40 +158,78 @@ class StepSpectrum:
     max_degree: int
 
 
-def step_spectrum(step, variance_threshold=0.95):
-    cloud = step.cloud
-    acc = CovarianceAccumulator(cloud.matrix.shape[1])
-    acc.add_block(cloud.matrix)
-    es = sym_eig(acc.finalize())
+def _spectrum(step, k, mean, variance_threshold):
+    es = sym_eig(k)
+    lo, hi = step.degrees
     return StepSpectrum(
         label=step.label,
-        count=cloud.matrix.shape[0],
-        ambient_dim=cloud.matrix.shape[1],
-        mean=acc.mean,
+        count=len(step.rows),
+        ambient_dim=hi - lo + 1,
+        mean=mean,
         eigensystem=es,
         dimension=dimension_estimate(es.normalized, variance_threshold),
-        min_degree=cloud.min_degree,
-        max_degree=cloud.max_degree,
+        min_degree=lo,
+        max_degree=hi,
     )
+
+
+def _tracked(spectrum):
+    """The spectrum with only its first TRACKED_COMPONENTS eigenvectors, as
+    a copy: a view would keep the full basis alive."""
+    es = spectrum.eigensystem
+    return replace(spectrum, eigensystem=replace(
+        es, eigenvectors=es.eigenvectors[:, :TRACKED_COMPONENTS].copy()))
+
+
+def step_spectrum(step, variance_threshold=0.95):
+    """The PCA of one step on its own, from its cloud's rows."""
+    matrix = step.cloud.matrix
+    acc = CovarianceAccumulator(matrix.shape[1]).add_block(matrix)
+    k, mean = acc.finalize(), acc.mean
+    del acc  # the moments go before the eigensolve
+    return _spectrum(step, k, mean, variance_threshold)
 
 
 def eigensystem_trajectory(steps, variance_threshold=0.95):
     """Per-step spectra of the steps holding enough rows for a PCA (one-record
-    steps, whose covariance is undefined, are skipped), and the cloud of the
-    last of them, or None.  Earlier spectra keep TRACKED_COMPONENTS
-    eigenvector columns, all the angles read; the last keeps every column,
-    for the projection."""
-    spectra, top = [], None
-    for s in steps:
-        if len(s.cloud.row_ids) >= 2:
-            top = s.cloud  # before the PCA, so the previous step is freed
-            if spectra:  # a copy: a view would keep the full basis alive
-                es = spectra[-1].eigensystem
-                tracked = es.eigenvectors[:, :TRACKED_COMPONENTS].copy()
-                spectra[-1] = replace(spectra[-1], eigensystem=replace(
-                    es, eigenvectors=tracked))
-            spectra.append(step_spectrum(s, variance_threshold))
-    return spectra, top
+    steps, whose covariance is undefined, are skipped), and the last of
+    those steps, or None.
+
+    One accumulator runs over the steps, in their source's columns.  Each
+    step folds in only the rows it adds to the step before, so every row is
+    multiplied once, and its K is the running moments cut to its degree
+    window.  That is exact: the moments are integer sums, and every row is
+    zero outside its step's window.  A step with another source, or that
+    drops a row of the step before, starts the sums again.  The moments are
+    freed before the last eigensolve.  Earlier spectra keep
+    TRACKED_COMPONENTS eigenvector columns, all the angles read; the last
+    keeps every column, for the projection.
+    """
+    spectra, acc, held, last = [], None, None, None
+    usable = (s for s in steps if len(s.rows) >= 2)
+    following = next(usable, None)
+    while following is not None:
+        step, following = following, next(usable, None)
+        source, rows = step.source, step.rows
+        if (acc is None or last.source is not source
+                or np.count_nonzero(held[rows]) != acc.count):
+            acc = CovarianceAccumulator(source.width)
+            held = np.zeros(len(source.row_ids), dtype=bool)
+        added = rows[~held[rows]]
+        for i in range(0, len(added), acc.block_rows):
+            acc.add_block(source.matrix[added[i:i + acc.block_rows]])
+        held[added] = True
+        lo, hi = step.degrees
+        columns = slice(lo - source.min_degree, hi - source.min_degree + 1)
+        k, mean = acc.finalize(columns), acc.mean[columns]
+        if following is None:  # the moments go before the last eigensolve
+            acc = held = None
+        if spectra:
+            spectra[-1] = _tracked(spectra[-1])
+        spectra.append(_spectrum(step, k, mean, variance_threshold))
+        del k
+        last = step
+    return spectra, last
 
 
 def embed_direction(vec, src_window, dst_window):
@@ -219,19 +289,21 @@ def spread_table(spectra):
     return table
 
 
-def norm_histogram(cloud, bins):
-    """Equal-width norm histograms over [0, r_max] by alternating class.
+def norm_histogram(cloud, bins, rows=slice(None)):
+    """Equal-width norm histograms over [0, r_max] by alternating class, of
+    the given rows of the cloud (all of them by default).
 
     Returns (edges, counts dict with keys alternating / nonalternating /
     combined).
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    r_max = float(cloud.norms.max()) or 1.0
+    norms = cloud.norms[rows]
+    r_max = float(norms.max()) or 1.0
     edges = np.linspace(0.0, r_max, bins + 1)
-    flags = _class_rows(cloud, "alternating")
-    alt, _ = np.histogram(cloud.norms[flags], bins=edges)
-    nonalt, _ = np.histogram(cloud.norms[~flags], bins=edges)
-    combined, _ = np.histogram(cloud.norms, bins=edges)
+    flags = _class_rows(cloud, "alternating")[rows]
+    alt, _ = np.histogram(norms[flags], bins=edges)
+    nonalt, _ = np.histogram(norms[~flags], bins=edges)
+    combined, _ = np.histogram(norms, bins=edges)
     return edges, {"alternating": alt, "nonalternating": nonalt,
                    "combined": combined}

@@ -1,13 +1,19 @@
 """Principal component analysis built from streaming covariance moments.
 
 Covariance accumulation is done here from scratch; the eigensolve is
-LAPACK's (``np.linalg.eigh``).  The covariance product, the eigensolve and
-the projection run on one BLAS thread, so results do not depend on the
-thread count.  A covariance block or a projection holds at most one float
-copy of its matrix at a time: it centers a private copy in place, and
-inputs are never modified.  Everything downstream (explained variances,
-cumulative shares, dimension estimation, projection) consumes the
-resulting eigensystem.
+LAPACK's (``np.linalg.eigh``).  Knot clouds are integer matrices, and for
+integer rows the accumulator keeps the exact raw moments N, s = sum x and
+S = sum x x^T.  Each block of rows is multiplied in one float copy, no
+larger than S, which is exact while max|x|^2 * rows < 2^53, and K =
+(N S - s s^T) / (N (N - 1)) is formed once in int64.  So K has the same
+bits for any block size, merge order or BLAS thread count, and a bound
+that fails raises MomentOverflow instead of rounding.  Float rows keep
+centered moments.  Their product, the eigensolve and the projection run
+on one BLAS thread, so results do not depend on the thread count.  The
+projection centers and multiplies one block of rows at a time.  Inputs
+are never modified.
+Everything downstream (explained variances, cumulative shares, dimension
+estimation, projection) consumes the resulting eigensystem.
 """
 
 from __future__ import annotations
@@ -20,62 +26,123 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientData, NotSymmetric
+from .cloud import NORM_BLOCK_ROWS
+from .errors import (DimensionMismatch, InsufficientData, MomentOverflow,
+                     NotSymmetric)
+
+FLOAT_EXACT = 2 ** 53  # float64 holds every integer of smaller magnitude
+INT64_LIMIT = 2 ** 63
 
 
 class CovarianceAccumulator:
     """Mergeable running moments for a sample covariance matrix.
 
-    Holds the count, the running mean, and the centered second-moment
-    matrix; shards accumulated independently merge exactly (up to float
-    round-off) in any order.
+    Integer rows keep the count N, the int64 column sums s and the exact
+    products S = sum x x^T: a float sum while every partial sum stays
+    below 2^53, int64 past that.  ``bound`` is a running upper bound on
+    every |S_ij|.  An integer product takes ``block_rows`` rows at a time:
+    NORM_BLOCK_ROWS, or dim when that is more, so the float copy of a block
+    is never larger than S and a wide product does not run as many thin
+    ones (torus <= 2000, width 2998, on 2 vCPUs with OpenBLAS: 1.7 s in
+    256-row blocks, 0.6 s in 2998-row ones).  Float rows keep the running
+    mean and the centered second-moment matrix m2.  The first block with
+    rows fixes the kind, and rows of the other kind are refused.  Integer
+    shards merge exactly in any order, float shards up to round-off.
     """
 
     def __init__(self, dim):
         self.dim = dim
+        self.block_rows = max(NORM_BLOCK_ROWS, dim)
         self.count = 0
+        self.integer = None  # the kind of the rows held; None while empty
         self.mean = np.zeros(dim)
-        self.m2 = np.zeros((dim, dim))
 
     def add(self, row):
-        row = np.asarray(row, dtype=float)
+        row = np.asarray(row)
         if row.shape != (self.dim,):
             raise DimensionMismatch(
                 f"row of length {row.shape} in a {self.dim}-dim accumulator")
         return self.add_block(row[None, :])
 
     def add_block(self, rows):
-        """Accumulate a 2-D block at once, merged like any other shard, so
-        a block of one row gives the same bits as ``add``.  A block with no
-        rows leaves the accumulator as it is.
+        """Accumulate a 2-D block at once.  A block with no rows leaves the
+        accumulator as it is.
 
-        The block is centered in its one private float copy, so the input
-        is never modified and no second N x d array is made.
+        An integer block is multiplied block_rows rows at a time, each in
+        one float copy, and MomentOverflow is raised for a part whose
+        product could round.  A float block is centered in its one private
+        float copy and merged like any other shard, so a block of one row
+        gives the same bits as ``add``.
         """
-        rows = np.array(rows, dtype=float)
+        rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != self.dim:
             raise DimensionMismatch(
                 f"block of shape {rows.shape} in a {self.dim}-dim accumulator")
         if not len(rows):
             return self
+        if rows.dtype.kind in "biu":
+            self._check_kind(True)
+            for i in range(0, len(rows), self.block_rows):
+                part = rows[i:i + self.block_rows]
+                peak = max(int(part.max()), -int(part.min()))
+                bound = peak * peak * len(part)
+                if bound >= FLOAT_EXACT:
+                    raise MomentOverflow(
+                        f"{len(part)} rows with an entry of magnitude {peak}: "
+                        "their products could round in float64")
+                part_sum = part.sum(axis=0, dtype=np.int64)
+                part = part.astype(float)
+                self._add_exact(len(part), part_sum, part.T @ part, bound)
+            return self
         other = CovarianceAccumulator(self.dim)
-        other.count = rows.shape[0]
+        rows = np.array(rows, dtype=float)
+        other.count, other.integer = len(rows), False
         other.mean = rows.mean(axis=0)
         rows -= other.mean
         with _one_blas_thread():
             other.m2 = rows.T @ rows
         if self.count == 0:
-            self.count, self.mean, self.m2 = other.count, other.mean, other.m2
+            self.count, self.integer = other.count, False
+            self.mean, self.m2 = other.mean, other.m2
             return self
         return self.merge(other)
+
+    def _check_kind(self, integer):
+        if self.integer is not None and self.integer != integer:
+            raise DimensionMismatch(
+                f"{'integer' if integer else 'float'} rows in an accumulator "
+                f"of {'integer' if self.integer else 'float'} rows")
+
+    def _add_exact(self, count, total, raw, bound):
+        """Fold in integer moments, taking ownership of total and raw."""
+        if self.count == 0:
+            self.total, self.raw, self.bound = total, raw, bound
+            self.integer = True
+        else:
+            bound += self.bound
+            if bound >= INT64_LIMIT:
+                raise MomentOverflow("the products of the rows overflow int64")
+            if bound >= FLOAT_EXACT:  # a float sum could round
+                self.raw = self.raw.astype(np.int64, copy=False)
+                raw = raw.astype(np.int64, copy=False)
+            self.raw += raw
+            self.total += total
+            self.bound = bound
+        self.count += count
+        self.mean = self.total / self.count
 
     def merge(self, other):
         if other.dim != self.dim:
             raise DimensionMismatch(f"{self.dim} vs {other.dim}")
         if other.count == 0:
             return self
+        self._check_kind(other.integer)
+        if other.integer:
+            self._add_exact(other.count, other.total.copy(), other.raw.copy(),
+                            other.bound)
+            return self
         if self.count == 0:
-            self.count = other.count
+            self.count, self.integer = other.count, False
             self.mean = other.mean.copy()
             self.m2 = other.m2.copy()
             return self
@@ -87,15 +154,35 @@ class CovarianceAccumulator:
         self.count = total
         return self
 
-    def finalize(self):
-        """Sample covariance K = M2 / (n - 1)."""
-        if self.count < 2:
+    def finalize(self, columns=slice(None)):
+        """Sample covariance of the given columns (a slice; all of them by
+        default).
+
+        Integer rows: K = (N S - s s^T) / (N (N - 1)), the numerator formed in
+        int64, where every intermediate is at most N * bound in magnitude
+        (Cauchy-Schwarz bounds |s_i s_j| and |N S_ij - s_i s_j| by it), so it
+        is exact and K is exactly symmetric.  Float rows: (K + K^T) / 2 of
+        K = M2 / (n - 1).
+        """
+        n = self.count
+        if n < 2:
             raise InsufficientData(
-                f"covariance needs at least 2 rows, have {self.count}")
-        k = self.m2 / (self.count - 1)
-        k += k.T  # numpy buffers the overlapping k.T: (k + k.T) bit for bit
-        k /= 2.0
-        return k
+                f"covariance needs at least 2 rows, have {n}")
+        if not self.integer:
+            k = self.m2[columns, columns] / (n - 1)
+            k += k.T  # numpy buffers the overlapping k.T: (k + k.T) bit for bit
+            k /= 2.0
+            return k
+        if n * self.bound >= INT64_LIMIT:
+            raise MomentOverflow(
+                f"N S of {n} rows overflows int64 (|S_ij| up to {self.bound})")
+        total = self.total[columns]
+        k = self.raw[columns, columns].astype(np.int64)
+        k *= n
+        for i in range(0, len(k), NORM_BLOCK_ROWS):
+            k[i:i + NORM_BLOCK_ROWS] -= np.multiply.outer(
+                total[i:i + NORM_BLOCK_ROWS], total)
+        return k / (n * (n - 1))
 
 
 @dataclass(frozen=True)
@@ -192,15 +279,25 @@ def dimension_estimate(normalized, threshold=0.95):
     return int(reached[0]) + 1 if len(reached) else len(normalized)
 
 
-def project(matrix, mean, es, k):
-    """Express centered rows in the first k principal directions.
+def project(matrix, mean, es, k, rows=None):
+    """Express centered rows in the first k principal directions: every row
+    of the matrix, or the given ascending row indices.
 
-    The rows are centered in one private float copy; the input is left as
-    it is."""
-    matrix = np.array(matrix, dtype=float)
+    NORM_BLOCK_ROWS rows at a time are centered in a private float copy and
+    multiplied, so the input is left as it is and no float copy of the
+    whole matrix is made."""
+    matrix = np.asarray(matrix)
     if k > es.dim or matrix.shape[1] != es.dim:
         raise DimensionMismatch(
             f"cannot project shape {matrix.shape} onto {k} of {es.dim} axes")
-    matrix -= mean
+    if rows is None:
+        rows = np.arange(len(matrix))
+    axes = es.eigenvectors[:, :k]
+    out = np.empty((len(rows), k))
     with _one_blas_thread():
-        return matrix @ es.eigenvectors[:, :k]
+        for i in range(0, len(rows), NORM_BLOCK_ROWS):
+            part = rows[i:i + NORM_BLOCK_ROWS]  # consecutive rows: a view
+            block = matrix[part[0]:part[-1] + 1] \
+                if part[-1] - part[0] == len(part) - 1 else matrix[part]
+            np.matmul(block - mean, axes, out=out[i:i + NORM_BLOCK_ROWS])
+    return out

@@ -422,8 +422,9 @@ def run_analysis(cloud, config, out_dir, digests=(), log=None):
     report bundle.
 
     The cloud comes from filtration.record_cloud or families.family_cloud,
-    with each row's crossing number.  Steps are computed one at a time, so
-    only the current one is held.  Returns the list of per-step spectra.
+    with each row's crossing number.  Steps come one at a time and hold row
+    indices only; their PCA runs on moments that each step extends by the
+    rows it adds.  Returns the list of per-step spectra.
     Every report byte is a function of (cloud, config); timings go to the
     log stream only.
     """
@@ -440,7 +441,8 @@ def run_analysis(cloud, config, out_dir, digests=(), log=None):
     else:
         raise UnknownFormat(f"unknown filtration {config.filtration!r}")
 
-    # top, the last step analyzed: crossing number <= k_max, or all class rows
+    # top, the last step analyzed: crossing number <= k_max, or all class
+    # rows; its rows index the cloud
     spectra, top = F.eigensystem_trajectory(steps, config.variance_threshold)
     if not spectra:
         raise KnotfoldError("no non-empty filtration steps")
@@ -467,23 +469,27 @@ def run_analysis(cloud, config, out_dir, digests=(), log=None):
                    ("component", "spread_percent"),
                    F.spread_table(spectra))
 
-    edges, counts = F.norm_histogram(top, config.bins)
+    edges, counts = F.norm_histogram(cloud, config.bins, top.rows)
     for cls, series in counts.items():
         _write_csv(os.path.join(out_dir, f"histogram_{cls}.csv"),
                    ("bin_low", "bin_high", "count"),
                    [(float(edges[b]), float(edges[b + 1]), int(series[b]))
                     for b in range(len(series))])
 
+    # from the step's rows and columns of the run's cloud: the step's own
+    # cloud would copy them
     final = spectra[-1]
     k = min(F.PROJECTION_COMPONENTS, final.ambient_dim)
-    coords = project(top.matrix, final.mean, final.eigensystem, k)
+    start = final.min_degree - cloud.min_degree
+    coords = project(cloud.matrix[:, start:start + final.ambient_dim],
+                     final.mean, final.eigensystem, k, top.rows)
     _write_csv(os.path.join(out_dir, "projection.csv"),
                ("id",) + tuple(f"pc{i+1}" for i in range(k)) + ("sigma",),
-               [(top.row_ids[r],)
-                + tuple(float(c) for c in coords[r])
-                + ("" if top.sigma_values[r] is None
-                   else str(top.sigma_values[r]),)
-                for r in range(len(top.row_ids))])
+               [(cloud.row_ids[r],)
+                + tuple(float(c) for c in xy)
+                + ("" if cloud.sigma_values[r] is None
+                   else str(cloud.sigma_values[r]),)
+                for r, xy in zip(top.rows.tolist(), coords)])
 
     manifest = {
         "config": config.to_dict(),

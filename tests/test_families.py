@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from knotfold import diagrams, families
@@ -12,6 +13,7 @@ from knotfold.families import (
     double_twist_diagram,
     double_twist_is_knot,
     double_twist_members,
+    double_twist_row,
     double_twist_writhe,
     family_cloud,
     family_members,
@@ -21,6 +23,7 @@ from knotfold.families import (
     torus_crossing_number,
     torus_diagram,
     torus_members,
+    torus_row,
 )
 from knotfold.laurent import LaurentPolynomial
 from knotfold.pipeline import generate_family
@@ -243,13 +246,29 @@ class TestFamilyCloud:
     """The cloud written straight from the closed forms equals aligning the
     canonicalized records, at the benchmark's family sizes."""
 
-    @pytest.mark.parametrize("kind, limit", [("torus", 300),
-                                             ("double_twist", 91)])
+    @pytest.mark.parametrize("kind, limit", [
+        ("torus", 300), ("double_twist", 21), ("double_twist", 91),
+        ("double_twist", 151)])
     def test_matches_records(self, kind, limit):
         digest, cloud = family_cloud(kind, limit)
         want_digest, records = generate_family(kind, limit)
         assert digest == want_digest
         assert_same_cloud(cloud, records_cloud(records))
+
+    @pytest.mark.parametrize("block_of, row_of, members", [
+        (families._torus_block, torus_row, torus_members(300)),
+        (families._double_twist_block, double_twist_row,
+         double_twist_members(60))])
+    def test_blocks_match_the_row_functions(self, block_of, row_of, members):
+        """Each vectorized block row is its member's row function, padded
+        with zeros, in blocks that mix crossing numbers."""
+        for a in range(0, len(members), 37):
+            chunk = members[a:a + 37]
+            block = block_of(np.array([m for m, _ in chunk]),
+                             np.array([n for _, n in chunk]))
+            for (m, n), got in zip(chunk, block.tolist()):
+                want = row_of(m, n)[1]
+                assert got == want + [0] * (len(got) - len(want)), (m, n)
 
     def test_rows_in_id_order(self):
         _, cloud = family_cloud("double_twist", 12)

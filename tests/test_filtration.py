@@ -6,7 +6,8 @@ import pytest
 from knotfold import filtration
 from knotfold.cloud import AlignedCloud, KnotRecord, align
 from knotfold.errors import EmptyFamily, Unsupported, WindowOverflow
-from knotfold.families import family_cloud
+from knotfold.families import (family_cloud, jones_torus,
+                               torus_crossing_number)
 from knotfold.filtration import (
     CLASS_FILTERS,
     TRACKED_COMPONENTS,
@@ -23,6 +24,7 @@ from knotfold.filtration import (
     step_spectrum,
 )
 from knotfold.laurent import LaurentPolynomial
+from knotfold.pca import CovarianceAccumulator
 from knotfold.pipeline import (InvariantCache, compute_batch, generate_family,
                                ingest)
 
@@ -299,21 +301,21 @@ class TestSpectra:
         assert abs(spec.eigensystem.cumulative[-1] - 1.0) <= 1e-12
 
     def test_trajectory_skips_empty(self):
-        """No step is made for an empty k; the top cloud is the last step
+        """No step is made for an empty k; the top step is the last one
         analyzed."""
         records = [r for r in fixture_records() if r.crossing_number >= 5]
         steps = steps_of(records, 4, 6)
         assert [s.label for s in steps] == ["5", "6"]
         specs, top = eigensystem_trajectory(steps)
         assert [s.label for s in specs] == ["5", "6"]
-        assert top is steps[-1].cloud
+        assert top is steps[-1]
 
     def test_trajectory_skips_one_record_steps(self):
         steps = steps_of(fixture_records(), -1, 4)
         assert [len(s.cloud.row_ids) for s in steps] == [1, 1, 1, 2, 3]
         specs, top = eigensystem_trajectory(steps)
         assert [s.label for s in specs] == ["3", "4"]
-        assert top is steps[-1].cloud
+        assert top is steps[-1]
         assert eigensystem_trajectory(steps[:3]) == ([], None)
 
     def test_earlier_steps_keep_tracked_directions(self):
@@ -332,6 +334,85 @@ class TestSpectra:
         assert last.eigensystem.eigenvectors.shape == (last.ambient_dim,) * 2
         assert angle_trajectory(specs) == angle_trajectory(whole)
         assert spread_table(specs) == spread_table(whole)
+
+
+def mixed_records():
+    """The fixture knots, all alternating, and four nonalternating torus
+    knots of 8 to 15 crossings."""
+    return fixture_records() + [
+        KnotRecord(f"T({m},{n})", torus_crossing_number(m, n),
+                   jones_torus(m, n), alternating=False)
+        for m, n in ((3, 4), (3, 5), (3, 7), (4, 5))]
+
+
+def assert_running_sums_match_oracle(steps):
+    """The trajectory's spectra equal each step's PCA on its own cloud, to
+    1e-12 relative."""
+    steps = list(steps)
+    got, top = eigensystem_trajectory(steps)
+    want = [step_spectrum(s) for s in steps if len(s.rows) >= 2]
+    assert len(got) == len(want) > 1
+    assert top is [s for s in steps if len(s.rows) >= 2][-1]
+
+    def close(a, b):
+        return np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+
+    for g, w in zip(got, want):
+        assert (g.label, g.count, g.ambient_dim, g.dimension,
+                g.min_degree, g.max_degree) == \
+            (w.label, w.count, w.ambient_dim, w.dimension,
+             w.min_degree, w.max_degree)
+        assert close(g.mean, w.mean), g.label
+        assert close(g.eigensystem.eigenvalues, w.eigensystem.eigenvalues)
+        assert close(g.eigensystem.normalized, w.eigensystem.normalized)
+        tracked = g.eigensystem.eigenvectors.shape[1]
+        assert close(g.eigensystem.eigenvectors,
+                     w.eigensystem.eigenvectors[:, :tracked]), g.label
+
+
+class TestRunningSums:
+    """One accumulator runs over the steps, and every step's K is the
+    running moments cut to its window."""
+
+    @pytest.mark.parametrize("cls", CLASS_FILTERS)
+    def test_classes(self, cls):
+        assert_running_sums_match_oracle(
+            crossing_filtration(record_cloud(mixed_records()), -1, 15, cls))
+
+    def test_double_twist(self):
+        _, cloud = family_cloud("double_twist", 40)
+        assert_running_sums_match_oracle(crossing_filtration(cloud, 10, 40))
+
+    @pytest.mark.parametrize("cls", CLASS_FILTERS)
+    def test_norm_filtration(self, cls):
+        assert_running_sums_match_oracle(
+            norm_filtration(record_cloud(mixed_records()), 2, cls))
+
+    def test_double_twist_norm_filtration(self):
+        _, cloud = family_cloud("double_twist", 40)
+        assert_running_sums_match_oracle(norm_filtration(cloud, 4))
+
+    def test_unnested_steps_start_again(self):
+        """Steps that are not nested, or come from other clouds, get their
+        own sums."""
+        steps = steps_of(fixture_records(), 4, 6)
+        assert_running_sums_match_oracle([steps[2], steps[0], steps[1]])
+        other = [FiltrationStep(s.label, s.cloud) for s in steps]
+        assert_running_sums_match_oracle([steps[1], other[2], steps[2]])
+
+    def test_each_row_enters_once(self, monkeypatch):
+        counted = []
+        add_block = CovarianceAccumulator.add_block
+
+        def counting(self, rows):
+            counted.append(len(rows))
+            return add_block(self, rows)
+
+        monkeypatch.setattr(CovarianceAccumulator, "add_block", counting)
+        _, cloud = family_cloud("double_twist", 40)
+        specs, top = eigensystem_trajectory(crossing_filtration(cloud, 10, 40))
+        assert len(specs) == 31
+        assert sum(counted) == len(top.rows) == len(cloud.row_ids)
 
 
 class TestEmbedDirection:
@@ -401,6 +482,15 @@ class TestHistogram:
         assert counts["combined"].sum() == 8
         assert np.array_equal(counts["alternating"] + counts["nonalternating"],
                               counts["combined"])
+
+    def test_rows(self):
+        """The histogram of some rows is that of their own cloud."""
+        cloud = staircase_cloud(8)
+        rows = np.array([1, 4, 5, 7])
+        want_edges, want = norm_histogram(cloud.subcloud(rows, 0, 0), 3)
+        edges, counts = norm_histogram(cloud, 3, rows)
+        assert np.array_equal(edges, want_edges)
+        assert all(np.array_equal(counts[c], want[c]) for c in want)
 
     def test_single_bin(self):
         _, counts = norm_histogram(staircase_cloud(5), 1)

@@ -1,10 +1,18 @@
+import math
+import os
+import subprocess
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotfold.errors import DimensionMismatch, InsufficientData, NotSymmetric
+import knotfold
+from knotfold.cloud import NORM_BLOCK_ROWS
+from knotfold.errors import (DimensionMismatch, InsufficientData,
+                             KnotfoldError, MomentOverflow, NotSymmetric)
 from knotfold.pca import (
     CovarianceAccumulator,
     _one_blas_thread,
@@ -245,6 +253,16 @@ class TestProjection:
         es = sym_eig(acc.finalize())
         assert np.allclose(project(acc.mean[None, :], acc.mean, es, 4), 0)
 
+    def test_rows(self, double_twist_91):
+        """Projecting some rows gives the bits of projecting their own
+        matrix, whether a block of them is consecutive or not."""
+        m = double_twist_91.matrix
+        acc = CovarianceAccumulator(m.shape[1]).add_block(m)
+        es = sym_eig(acc.finalize())
+        rows = np.r_[0:300, 301:900:3, 1000:1541]
+        got = project(m, acc.mean, es, 3, rows)
+        assert got.tobytes() == project(m[rows], acc.mean, es, 3).tobytes()
+
     def test_k_too_large(self):
         x = np.random.default_rng(13).standard_normal((10, 4))
         acc = CovarianceAccumulator(4).add_block(x)
@@ -277,21 +295,129 @@ class TestInputsUnchanged:
         assert np.array_equal(acc.mean, mean_before)
 
 
+class TestExactMoments:
+    """Integer rows give exact moments, so K has the same bits however the
+    rows are blocked, sharded or multiplied."""
+
+    @staticmethod
+    def blocked(m, size):
+        acc = CovarianceAccumulator(m.shape[1])
+        for i in range(0, len(m), size):
+            acc.add_block(m[i:i + size])
+        return acc
+
+    def test_block_sizes(self, double_twist_91):
+        m = double_twist_91.matrix
+        want = self.blocked(m, len(m)).finalize()
+        for size in (1, 7):
+            assert self.blocked(m, size).finalize().tobytes() == want.tobytes()
+
+    def test_shard_orders(self, double_twist_91):
+        m = double_twist_91.matrix
+        cuts = [0, 300, 301, 900, 1400, len(m)]
+        shards = [self.blocked(m[a:b], len(m)) for a, b in zip(cuts, cuts[1:])]
+        want = self.blocked(m, len(m)).finalize().tobytes()
+        for order in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 0, 4, 1, 3]):
+            acc = CovarianceAccumulator(m.shape[1])
+            for i in order:
+                acc.merge(shards[i])
+            assert acc.finalize().tobytes() == want, order
+
+    def test_blas_threads_without_the_pin(self):
+        """The integer product is exact, so it needs no BLAS pin: with the
+        pin patched out, 1 and 2 OpenBLAS threads give the same K."""
+        script = (
+            "import contextlib, hashlib\n"
+            "import knotfold.pca as pca\n"
+            "from knotfold.families import family_cloud\n"
+            "pca._one_blas_thread = contextlib.nullcontext\n"
+            "m = family_cloud('torus', 300)[1].matrix\n"
+            "acc = pca.CovarianceAccumulator(m.shape[1]).add_block(m)\n"
+            "k = acc.finalize()\n"
+            "print(hashlib.sha256(k.tobytes()).hexdigest())\n")
+        src = os.path.dirname(os.path.dirname(knotfold.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=src)
+            digests.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                text=True, timeout=300, check=True).stdout)
+        assert digests[0] == digests[1] and len(digests[0]) == 65
+
+    def test_exact_past_the_float_range(self):
+        """Products summing past 2^53 move to int64 and stay exact: K is the
+        exact rational covariance, rounded at most twice."""
+        rng = np.random.default_rng(20)
+        m = rng.integers(2**22 - 500, 2**22, size=(600, 3)) | 1
+        acc = self.blocked(m, 100)
+        assert acc.raw.dtype == np.int64
+        k = acc.finalize()
+        rows = m.tolist()
+        n = len(rows)
+        for i in range(3):
+            for j in range(3):
+                s_ij = sum(r[i] * r[j] for r in rows)
+                s_i, s_j = sum(r[i] for r in rows), sum(r[j] for r in rows)
+                exact = float(Fraction(n * s_ij - s_i * s_j, n * (n - 1)))
+                assert math.isclose(k[i, j], exact, rel_tol=2**-52)
+
+    def test_over_bound_block_raises(self):
+        """A block whose float product could round is refused, not
+        rounded."""
+        with pytest.raises(MomentOverflow):
+            CovarianceAccumulator(2).add([2**27, 0])
+        rows = np.full((NORM_BLOCK_ROWS, 2), 2**23)
+        CovarianceAccumulator(2).add_block(rows[:2])
+        with pytest.raises(KnotfoldError):
+            CovarianceAccumulator(2).add_block(rows)
+
+    def test_over_bound_covariance_raises(self):
+        """N S past int64 is refused when K is formed."""
+        acc = CovarianceAccumulator(1).add_block(np.full((4000, 1), 2**20))
+        with pytest.raises(MomentOverflow):
+            acc.finalize()
+
+    def test_kinds_do_not_mix(self):
+        with pytest.raises(DimensionMismatch):
+            CovarianceAccumulator(2).add([1, 2]).add([0.5, 1.0])
+        with pytest.raises(DimensionMismatch):
+            CovarianceAccumulator(2).add([0.5, 1.0]).add([1, 2])
+        with pytest.raises(DimensionMismatch):
+            CovarianceAccumulator(2).add([1, 2]).merge(
+                CovarianceAccumulator(2).add([0.5, 1.0]))
+
+    def test_column_window(self, double_twist_91):
+        """finalize(columns) equals the moments of those columns alone."""
+        m = double_twist_91.matrix
+        acc = CovarianceAccumulator(m.shape[1]).add_block(m)
+        part = CovarianceAccumulator(40).add_block(m[:, 30:70])
+        assert acc.finalize(slice(30, 70)).tobytes() == \
+            part.finalize().tobytes()
+        assert acc.mean[30:70].tobytes() == part.mean.tobytes()
+
+
 class TestMemory:
-    """A block or a projection holds at most one float copy of its matrix
-    at a time; numpy reports its buffers to tracemalloc, so the peaks
-    repeat exactly."""
+    """A block or a projection holds one float copy of a block of rows at a
+    time, never of the whole matrix; numpy reports its buffers to
+    tracemalloc, so the peaks repeat exactly."""
 
     def test_add_block_peaks_below_one_and_a_half_copies(
             self, double_twist_91):
+        """Far below: one float block of rows, S and one product."""
         m = double_twist_91.matrix
         acc = CovarianceAccumulator(m.shape[1])
+        block = min(acc.block_rows, len(m)) * m.shape[1] * 8
+        square = m.shape[1] ** 2 * 8  # S, and one block's product
         _, peak = traced_peak(lambda: acc.add_block(m))
-        assert peak < 1.5 * m.size * 8
+        assert block < m.size * 8 / 4
+        assert peak < 1.05 * (block + 2 * square)
 
     def test_project_peaks_below_one_and_a_half_copies(self, double_twist_91):
+        """Far below: one centered float block of rows and the output."""
         m = double_twist_91.matrix
         acc = CovarianceAccumulator(m.shape[1]).add_block(m)
         es = sym_eig(acc.finalize())
+        block = NORM_BLOCK_ROWS * m.shape[1] * 8
         _, peak = traced_peak(lambda: project(m, acc.mean, es, 3))
-        assert peak < 1.5 * m.size * 8
+        assert peak < 1.5 * block + len(m) * 3 * 8

@@ -1006,3 +1006,28 @@ def test_bundle_independent_of_blas_threads(tmp_path):
                 OPENBLAS_NUM_THREADS=threads).check_returncode()
         bundles.append(bundle_bytes(out))
     assert bundles[0] == bundles[1]
+
+
+def peak_rss_mb(args):
+    """Run the CLI as run_cli does and return its peak resident set in MB,
+    as wait4 reports it."""
+    src = os.path.dirname(os.path.dirname(knotfold.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "knotfold.cli", *args],
+                            env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here
+    assert proc.returncode == 0, args
+    return usage.ru_maxrss / 1024
+
+
+def test_filtration_memory_does_not_grow_with_steps(tmp_path):
+    """The steps share one set of running moments and copy none of their
+    rows, so a 12-step double twist run peaks within 10% of the 1-step
+    run of its top step."""
+    peaks = [peak_rss_mb(["analyze", "--family", "double-twist",
+                          "--max-crossings", "151", "--kmin", kmin,
+                          "--kmax", "151", "--out", str(tmp_path / kmin)])
+             for kmin in ("140", "151")]
+    assert peaks[0] < 1.1 * peaks[1], peaks
