@@ -1,14 +1,18 @@
 """Jones coefficient point clouds.
 
-Turns a family of knots into one integer matrix: pick one knot from each
-mirror pair, read off dense coefficient rows, and zero-pad them into a
-family-wide degree window.  align is the one constructor: computed
-records (filtration.record_cloud) and the closed-form families
-(families.family_cloud) both hand it (id, min_degree, coefficients,
-alternating, sigma, crossing_number) rows.  Both pick the mirror image by
-the one extreme-degree rule, prefers_mirror.  An analysis run builds one
-cloud, and its filtration steps and class filters are row and column
-slices of it.
+Turns a family of knots into rows of integer coefficients: pick one knot
+from each mirror pair, read off dense coefficient rows, and zero-pad them
+into a family-wide degree window.  A cloud holds per-row metadata in id
+order (ids, norms, class flags, sigma, crossing numbers) and hands out
+its rows through one contract, rows(indices): int64 rows at full width.
+align builds the dataset cloud, which keeps its rows in one matrix, from
+(id, min_degree, coefficients, alternating, sigma, crossing_number) rows;
+computed records (filtration.record_cloud) come this way.  The closed-form
+families (families.family_cloud) keep no matrix: their rows are evaluated
+from the closed forms when read.  Both pick the mirror image by the one
+extreme-degree rule, prefers_mirror.  An analysis run builds one cloud,
+and its filtration steps and class filters are row and column slices of
+it.
 """
 
 from __future__ import annotations
@@ -85,9 +89,78 @@ def prefers_mirror(lo, hi):
     return (lo if abs(lo) > abs(hi) else hi) < 0
 
 
+class Cloud:
+    """What every cloud offers on top of rows(indices).
+
+    A cloud has row_ids, min_degree, width, norms, class_flags,
+    sigma_values and crossing_numbers, and rows(indices), which returns the
+    rows at the given ascending indices as an int64 array of full width.
+    Callers must not write to what rows returns.
+    """
+
+    @property
+    def max_degree(self):
+        return self.min_degree + self.width - 1
+
+    def row_blocks(self, indices, size=NORM_BLOCK_ROWS):
+        """rows() of the ascending indices, size of them at a time."""
+        for i in range(0, len(indices), size):
+            yield self.rows(indices[i:i + size])
+
+    def row_spans(self):
+        """Each row's lowest and highest degree with a nonzero entry, as two
+        arrays; a zero row spans degree 0, as int_coeffs reads it."""
+        import numpy as np
+
+        lows, highs = [], []
+        for block in self.row_blocks(np.arange(len(self.row_ids))):
+            nonzero = block != 0
+            found = nonzero.any(axis=1)
+            lows.append(np.where(
+                found, nonzero.argmax(axis=1) + self.min_degree, 0))
+            highs.append(np.where(
+                found, self.max_degree - nonzero[:, ::-1].argmax(axis=1), 0))
+        return np.concatenate(lows), np.concatenate(highs)
+
+    def subcloud(self, rows, min_degree, max_degree):
+        """The given rows (ascending row indices), cut to [min_degree,
+        max_degree], as a dataset cloud; this cloud itself when that cuts
+        nothing.
+
+        The window must lie inside this cloud's, and every row must be zero
+        outside it; the result then equals aligning those rows alone into
+        that window.  The norms are this cloud's: a row's float sum of
+        squares is exact, whatever the zero padding, while it stays below
+        2^53.
+        """
+        import numpy as np
+
+        if (len(rows) == len(self.row_ids)
+                and (min_degree, max_degree) == (self.min_degree,
+                                                 self.max_degree)):
+            return self
+        rows = np.asarray(rows, dtype=np.int64)
+        start = min_degree - self.min_degree
+        cut = slice(start, start + max_degree - min_degree + 1)
+        matrix = np.empty((len(rows), cut.stop - start), dtype=np.int64)
+        for i, block in enumerate(self.row_blocks(rows)):
+            matrix[i * NORM_BLOCK_ROWS:(i + 1) * NORM_BLOCK_ROWS] = \
+                block[:, cut]
+        return AlignedCloud(
+            row_ids=tuple(self.row_ids[j] for j in rows),
+            matrix=matrix,
+            min_degree=min_degree,
+            norms=self.norms[rows],
+            class_flags=tuple(self.class_flags[j] for j in rows),
+            sigma_values=tuple(self.sigma_values[j] for j in rows),
+            crossing_numbers=tuple(self.crossing_numbers[j] for j in rows),
+        )
+
+
 @dataclass(frozen=True)
-class AlignedCloud:
-    """A family of coefficient rows padded into one shared degree window."""
+class AlignedCloud(Cloud):
+    """A dataset cloud: its rows padded into one shared degree window, in
+    one int64 matrix."""
 
     row_ids: tuple
     matrix: np.ndarray
@@ -101,47 +174,16 @@ class AlignedCloud:
     def width(self):
         return self.matrix.shape[1]
 
-    @property
-    def max_degree(self):
-        return self.min_degree + self.width - 1
+    def rows(self, indices):
+        return matrix_rows(self.matrix, indices)
 
-    def row_spans(self):
-        """Each row's lowest and highest degree with a nonzero entry, as two
-        arrays; a zero row spans degree 0, as int_coeffs reads it."""
-        import numpy as np
 
-        nonzero = self.matrix != 0
-        found = nonzero.any(axis=1)
-        lows = np.where(found, nonzero.argmax(axis=1) + self.min_degree, 0)
-        highs = np.where(
-            found, self.max_degree - nonzero[:, ::-1].argmax(axis=1), 0)
-        return lows, highs
-
-    def subcloud(self, rows, min_degree, max_degree):
-        """The given rows (ascending row indices), cut to [min_degree,
-        max_degree]; this cloud itself when that cuts nothing.
-
-        The window must lie inside this cloud's, and every row must be zero
-        outside it; the result then equals aligning those rows alone into
-        that window.  The norms are this cloud's: a row's float sum of
-        squares is exact, whatever the zero padding, while it stays below
-        2^53.
-        """
-        if (len(rows) == len(self.row_ids)
-                and (min_degree, max_degree) == (self.min_degree,
-                                                 self.max_degree)):
-            return self
-        start = min_degree - self.min_degree
-        matrix = self.matrix[rows, start:start + max_degree - min_degree + 1]
-        return AlignedCloud(
-            row_ids=tuple(self.row_ids[j] for j in rows),
-            matrix=matrix,
-            min_degree=min_degree,
-            norms=self.norms[rows],
-            class_flags=tuple(self.class_flags[j] for j in rows),
-            sigma_values=tuple(self.sigma_values[j] for j in rows),
-            crossing_numbers=tuple(self.crossing_numbers[j] for j in rows),
-        )
+def matrix_rows(matrix, indices):
+    """The matrix rows at the ascending indices: a view when they are
+    consecutive."""
+    if len(indices) and indices[-1] - indices[0] == len(indices) - 1:
+        return matrix[indices[0]:indices[-1] + 1]
+    return matrix[indices]
 
 
 def align(rows):

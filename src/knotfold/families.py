@@ -9,7 +9,9 @@ jones_torus and jones_double_twist wrap those lists as polynomials for the
 records that `generate` caches.  family_cloud, whose cloud is what an
 analysis runs on, evaluates the same formulas vectorized over blocks of
 members (_torus_block, _double_twist_block), and the tests hold those to
-the row functions.
+the row functions.  Its FamilyCloud keeps each member's parameters, not
+a matrix, and evaluates a block of rows whenever one is read, so a
+family's analysis never holds its N x width coefficients at once.
 
 The closed forms are checked against explicit diagrams from one builder,
 four_plat_diagram: the numerator closure of the rational tangle
@@ -21,13 +23,18 @@ production path calls them.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd
+from typing import TYPE_CHECKING
 
-from .cloud import NORM_BLOCK_ROWS, AlignedCloud, prefers_mirror, row_norms
+from .cloud import NORM_BLOCK_ROWS, Cloud, prefers_mirror
 from .diagrams import from_even_under
 from .errors import InexactDivision, NotAKnot, UnknownFormat
 from .laurent import QUARTER, LaurentPolynomial
+
+if TYPE_CHECKING:  # numpy loads in the functions that use it
+    import numpy as np
 
 
 def torus_crossing_number(m, n):
@@ -280,17 +287,62 @@ def _double_twist_block(m, n):
     return block
 
 
-def family_cloud(kind, limit):
-    """(digest, cloud): the aligned cloud of a family.
+@dataclass(frozen=True, eq=False)
+class FamilyCloud(Cloud):
+    """The cloud of a closed-form family, holding no matrix.
 
-    The rows come from the vectorized closed form (_torus_block,
-    _double_twist_block) in int64 blocks of whole crossing numbers,
-    NORM_BLOCK_ROWS members or more each, entry j of a member's row on
-    q^(lo + j) with lo as in torus_row and double_twist_row.  Each
-    nonzero entry is written straight into the id-ordered matrix at its
-    degree, negated (q -> 1/q) where prefers_mirror picks the mirror image.
-    So the cloud equals record_cloud of generate_family's canonicalized
-    records, without a polynomial, record or coefficient list per member.
+    Per member, in id order: the metadata every cloud has, the closed-form
+    parameters (m, n), ``flip`` where prefers_mirror picks the mirror
+    image, and the row ``spans`` (lowest, highest degree), which the
+    closed-form row fills: its entry j sits at degree low + j, or at
+    high - j where the member is flipped.  rows(indices) evaluates the
+    vectorized closed form of just those members and copies each row into
+    its span.
+    """
+
+    row_ids: tuple
+    min_degree: int
+    width: int
+    norms: np.ndarray
+    class_flags: tuple
+    sigma_values: tuple
+    crossing_numbers: tuple
+    kind: str
+    m: np.ndarray
+    n: np.ndarray
+    flip: np.ndarray
+    spans: tuple
+
+    def rows(self, indices):
+        import numpy as np
+
+        block = _BLOCKS[self.kind](self.m[indices], self.n[indices])
+        lows, highs = (s[indices] - self.min_degree for s in self.spans)
+        out = np.zeros((len(block), self.width), dtype=np.int64)
+        for row, entries, a, b, flip in zip(
+                out, block, lows.tolist(), (highs + 1).tolist(),
+                self.flip[indices].tolist()):
+            row[a:b] = entries[b - a - 1::-1] if flip else entries[:b - a]
+        return out
+
+    def row_spans(self):
+        return self.spans
+
+
+_BLOCKS = {"torus": _torus_block, "double_twist": _double_twist_block}
+
+
+def family_cloud(kind, limit):
+    """(digest, cloud): the FamilyCloud of a family.
+
+    A member's closed-form row (_torus_block, _double_twist_block) spans
+    q^lo..q^hi, with lo as in torus_row and double_twist_row, and
+    q^-hi..q^-lo, reversed, where prefers_mirror picks the mirror image.
+    The norms are summed from the closed-form blocks, NORM_BLOCK_ROWS
+    members at a time in generation order; no N x width matrix is made.
+    So the cloud's rows, norms and metadata equal record_cloud of
+    generate_family's canonicalized records, without a polynomial, record
+    or coefficient list per member.
     """
     import numpy as np
 
@@ -298,39 +350,34 @@ def family_cloud(kind, limit):
     m = np.array([mem[3] for mem in members])
     n = np.array([mem[4] for mem in members])
     if kind == "torus":
-        block_of, lo, hi = _torus_block, (m - 1) * (n - 1) // 2, m + n - 2
+        lo, hi = (m - 1) * (n - 1) // 2, m + n - 2
     else:
         w = np.where(m % 2, -(m + n), np.where(n % 2, m + n, n - m))  # writhe
-        block_of, lo, hi = _double_twist_block, 3 * w - m - 3 * n, m + n
+        lo, hi = 3 * w - m - 3 * n, m + n
         lo //= QUARTER  # double_twist_row's lo4, in whole degrees
     hi += lo
     flip = np.array([prefers_mirror(a, b)
                      for a, b in zip(lo.tolist(), hi.tolist())], dtype=bool)
-    low = int(np.where(flip, -hi, lo).min())
-    width = int(np.where(flip, -lo, hi).max()) - low + 1
+    lows, highs = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
+    norms = np.empty(len(members))
+    for a in range(0, len(members), NORM_BLOCK_ROWS):
+        block = _BLOCKS[kind](m[a:a + NORM_BLOCK_ROWS],
+                              n[a:a + NORM_BLOCK_ROWS])
+        norms[a:a + NORM_BLOCK_ROWS] = np.sqrt(
+            np.square(block, dtype=float).sum(axis=1))
     ids = [mem[0] for mem in members]
     order = sorted(range(len(ids)), key=ids.__getitem__)
-    dest = np.empty(len(ids), dtype=np.int64)
-    dest[order] = np.arange(len(ids))
-    matrix = np.zeros((len(ids), width), dtype=np.int64)
-    crossings = np.array([mem[1] for mem in members])
-    starts = [0]
-    for a in [*(np.flatnonzero(np.diff(crossings)) + 1).tolist(), len(ids)]:
-        if a - starts[-1] >= NORM_BLOCK_ROWS or a == len(ids):
-            starts.append(a)
-    for a, b in zip(starts, starts[1:]):
-        block = block_of(m[a:b], n[a:b])
-        r, j = np.nonzero(block)
-        r += a
-        degree = lo[r] + j
-        degree[flip[r]] *= -1
-        matrix[dest[r], degree - low] = block[r - a, j]
-    return digest, AlignedCloud(
+    return digest, FamilyCloud(
         row_ids=tuple(ids[i] for i in order),
-        matrix=matrix,
-        min_degree=low,
-        norms=row_norms(matrix),
+        min_degree=int(lows.min()),
+        width=int(highs.max() - lows.min()) + 1,
+        norms=norms[order],
         class_flags=tuple(members[i][2] for i in order),
         sigma_values=(None,) * len(ids),
         crossing_numbers=tuple(members[i][1] for i in order),
+        kind=kind,
+        m=m[order],
+        n=n[order],
+        flip=flip[order],
+        spans=(lows[order], highs[order]),
     )

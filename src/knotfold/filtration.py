@@ -2,12 +2,14 @@
 
 A filtration is an increasing sequence of knot sets, here by crossing
 number or by coefficient-vector norm.  Every step names a set of rows of
-one aligned cloud (record_cloud, or families.family_cloud) and the degree
-window they span; its own cloud is cut only when it is read.  Each step
-gets its own PCA, from exact integer moments that run over the steps: a
-step folds in only the rows it adds.  The diagnostics compare steps:
-explained-variance trajectories, principal angles between consecutive
-steps, relative spreads, and norm histograms.
+one cloud (record_cloud's dataset cloud, or families.family_cloud's,
+which holds no matrix) and the degree window they span; its own cloud is
+cut only when it is read.  Rows are read through the cloud's
+rows(indices), a block at a time.  Each step gets its own PCA, from exact
+integer moments that run over the steps: a step folds in only the rows
+it adds.  The diagnostics compare steps: explained-variance
+trajectories, principal angles between consecutive steps, relative
+spreads, and norm histograms.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cloud import AlignedCloud, align
+from .cloud import Cloud, align
 from .errors import EmptyFamily, Unsupported, WindowOverflow
 from .pca import CovarianceAccumulator, dimension_estimate, sym_eig
 
@@ -41,7 +43,7 @@ class FiltrationStep:
     """
 
     label: str
-    source: AlignedCloud
+    source: Cloud
     rows: np.ndarray = None
     degrees: tuple = None
 
@@ -183,8 +185,11 @@ def _tracked(spectrum):
 
 def step_spectrum(step, variance_threshold=0.95):
     """The PCA of one step on its own, from its cloud's rows."""
-    matrix = step.cloud.matrix
-    acc = CovarianceAccumulator(matrix.shape[1]).add_block(matrix)
+    cloud = step.cloud
+    acc = CovarianceAccumulator(cloud.width)
+    for block in cloud.row_blocks(np.arange(len(cloud.row_ids)),
+                                  acc.block_rows):
+        acc.add_block(block)
     k, mean = acc.finalize(), acc.mean
     del acc  # the moments go before the eigensolve
     return _spectrum(step, k, mean, variance_threshold)
@@ -215,10 +220,9 @@ def eigensystem_trajectory(steps, variance_threshold=0.95):
                 or np.count_nonzero(held[rows]) != acc.count):
             acc = CovarianceAccumulator(source.width)
             held = np.zeros(len(source.row_ids), dtype=bool)
-        added = rows[~held[rows]]
-        for i in range(0, len(added), acc.block_rows):
-            acc.add_block(source.matrix[added[i:i + acc.block_rows]])
-        held[added] = True
+        for block in source.row_blocks(rows[~held[rows]], acc.block_rows):
+            acc.add_block(block)
+        held[rows] = True
         lo, hi = step.degrees
         columns = slice(lo - source.min_degree, hi - source.min_degree + 1)
         k, mean = acc.finalize(columns), acc.mean[columns]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import NORM_BLOCK_ROWS
+from .cloud import NORM_BLOCK_ROWS, Cloud, matrix_rows
 from .errors import (DimensionMismatch, InsufficientData, MomentOverflow,
                      NotSymmetric)
 
@@ -255,8 +255,9 @@ def sym_eig(k):
         raise NotSymmetric("matrix has a non-finite entry")
     n = k.shape[0]
     scale = max(1.0, k.max(initial=0.0), -k.min(initial=0.0))
-    skew = k - k.T  # rebound to its max below, so eigh runs without it
-    skew = np.abs(skew, out=skew).max(initial=0.0)
+    skew = max((np.abs(k[i:i + NORM_BLOCK_ROWS]  # a block of rows at a time
+                       - k[:, i:i + NORM_BLOCK_ROWS].T).max()
+                for i in range(0, n, NORM_BLOCK_ROWS)), default=0.0)
     if skew > 1e-9 * scale:
         raise NotSymmetric("matrix is not symmetric within 1e-9 relative")
     if skew:  # an exactly symmetric K is its own symmetrization
@@ -279,25 +280,31 @@ def dimension_estimate(normalized, threshold=0.95):
     return int(reached[0]) + 1 if len(reached) else len(normalized)
 
 
-def project(matrix, mean, es, k, rows=None):
-    """Express centered rows in the first k principal directions: every row
-    of the matrix, or the given ascending row indices.
+def project(source, mean, es, k, rows=None, columns=slice(None)):
+    """Express centered rows in the first k principal directions: the given
+    columns (a slice; all of them by default) of every row of the source,
+    or of the given ascending row indices.  The source is a matrix, or a
+    cloud, whose rows are read through its rows(indices).
 
-    NORM_BLOCK_ROWS rows at a time are centered in a private float copy and
-    multiplied, so the input is left as it is and no float copy of the
-    whole matrix is made."""
-    matrix = np.asarray(matrix)
-    if k > es.dim or matrix.shape[1] != es.dim:
+    NORM_BLOCK_ROWS rows at a time are read, centered in a private float
+    copy and multiplied, so the input is left as it is and no float copy
+    of the whole matrix is made."""
+    if isinstance(source, Cloud):
+        read, count, width = source.rows, len(source.row_ids), source.width
+    else:
+        source = np.asarray(source)
+        read, (count, width) = functools.partial(matrix_rows, source), \
+            source.shape
+    if k > es.dim or len(range(width)[columns]) != es.dim:
         raise DimensionMismatch(
-            f"cannot project shape {matrix.shape} onto {k} of {es.dim} axes")
+            f"cannot project {width} columns, cut to {columns}, onto {k} of "
+            f"{es.dim} axes")
     if rows is None:
-        rows = np.arange(len(matrix))
+        rows = np.arange(count)
     axes = es.eigenvectors[:, :k]
     out = np.empty((len(rows), k))
     with _one_blas_thread():
         for i in range(0, len(rows), NORM_BLOCK_ROWS):
-            part = rows[i:i + NORM_BLOCK_ROWS]  # consecutive rows: a view
-            block = matrix[part[0]:part[-1] + 1] \
-                if part[-1] - part[0] == len(part) - 1 else matrix[part]
+            block = read(rows[i:i + NORM_BLOCK_ROWS])[:, columns]
             np.matmul(block - mean, axes, out=out[i:i + NORM_BLOCK_ROWS])
     return out

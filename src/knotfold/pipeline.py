@@ -418,13 +418,14 @@ def make_report_dir(out_dir):
 
 
 def run_analysis(cloud, config, out_dir, digests=(), log=None):
-    """Filtration + PCA + diagnostics over one aligned cloud; writes the
-    report bundle.
+    """Filtration + PCA + diagnostics over one cloud; writes the report
+    bundle.
 
     The cloud comes from filtration.record_cloud or families.family_cloud,
-    with each row's crossing number.  Steps come one at a time and hold row
-    indices only; their PCA runs on moments that each step extends by the
-    rows it adds.  Returns the list of per-step spectra.
+    with each row's crossing number, and its rows are read a block at a
+    time.  Steps come one at a time and hold row indices only; their PCA
+    runs on moments that each step extends by the rows it adds.  Returns
+    the list of per-step spectra.
     Every report byte is a function of (cloud, config); timings go to the
     log stream only.
     """
@@ -481,15 +482,15 @@ def run_analysis(cloud, config, out_dir, digests=(), log=None):
     final = spectra[-1]
     k = min(F.PROJECTION_COMPONENTS, final.ambient_dim)
     start = final.min_degree - cloud.min_degree
-    coords = project(cloud.matrix[:, start:start + final.ambient_dim],
-                     final.mean, final.eigensystem, k, top.rows)
+    coords = project(cloud, final.mean, final.eigensystem, k, top.rows,
+                     slice(start, start + final.ambient_dim))
     _write_csv(os.path.join(out_dir, "projection.csv"),
                ("id",) + tuple(f"pc{i+1}" for i in range(k)) + ("sigma",),
-               [(cloud.row_ids[r],)
+               ((cloud.row_ids[r],)
                 + tuple(float(c) for c in xy)
                 + ("" if cloud.sigma_values[r] is None
                    else str(cloud.sigma_values[r]),)
-                for r, xy in zip(top.rows.tolist(), coords)])
+                for r, xy in zip(top.rows.tolist(), coords)))
 
     manifest = {
         "config": config.to_dict(),

@@ -16,7 +16,7 @@ from knotfold.errors import EmptyFamily, HalfIntegerExponent
 from knotfold.laurent import LaurentPolynomial
 
 from conftest import TABLE_MATRIX, TABLE_POLYS, traced_peak
-from oracles import row
+from oracles import dense, row
 
 
 def rec(jones_text, **kw):
@@ -210,7 +210,7 @@ class TestNorm:
         """align holds its int64 matrix and one float block of
         NORM_BLOCK_ROWS rows, never a float copy of the whole matrix."""
         cloud = double_twist_91
-        m = cloud.matrix
+        m = dense(cloud)
         rows = [(rid, cloud.min_degree, r.tolist(), None, None, c)
                 for rid, r, c in zip(cloud.row_ids, m,
                                      cloud.crossing_numbers)]

@@ -6,6 +6,7 @@ import pytest
 
 from knotfold import diagrams, families
 from knotfold.bracket import bracket_to_jones, jones, kauffman_bracket
+from knotfold.cloud import Cloud
 from knotfold.diagrams import is_alternating, writhe
 from knotfold.errors import InexactDivision, NotAKnot, UnknownFormat
 from knotfold.families import (
@@ -28,8 +29,9 @@ from knotfold.families import (
 from knotfold.laurent import LaurentPolynomial
 from knotfold.pipeline import generate_family
 
-from oracles import (assert_same_cloud, bracket_statesum, exact_div,
-                     records_cloud, shift)
+from conftest import traced_peak
+from oracles import (assert_same_cloud, bracket_statesum, dense,
+                     exact_div, records_cloud, shift)
 
 
 def torus_oracle(m, n):
@@ -270,6 +272,23 @@ class TestFamilyCloud:
                 want = row_of(m, n)[1]
                 assert got == want + [0] * (len(got) - len(want)), (m, n)
 
+    @pytest.mark.parametrize("kind, limit", [
+        ("torus", 300), ("double_twist", 91)])
+    def test_spans_match_the_rows(self, kind, limit):
+        """The closed-form row spans equal the ones read off the rows."""
+        _, cloud = family_cloud(kind, limit)
+        got, want = cloud.row_spans(), Cloud.row_spans(cloud)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_holds_no_matrix(self):
+        """Building a cloud holds a few blocks of rows at a time, far below
+        the N x width int64 matrix of its rows."""
+        cloud, peak = traced_peak(
+            lambda: family_cloud("double_twist", 301)[1])
+        dense_bytes = len(cloud.row_ids) * cloud.width * 8
+        assert dense_bytes > 80e6  # 16,950 x 602
+        assert peak < dense_bytes / 4
+
     def test_rows_in_id_order(self):
         _, cloud = family_cloud("double_twist", 12)
         assert list(cloud.row_ids) == sorted(cloud.row_ids)
@@ -282,7 +301,7 @@ class TestFamilyCloud:
         _, cloud = family_cloud("double_twist", 12)
         for k in (1, 2, 3):
             rid = f"C({2 * k},{2 * k})"
-            row = cloud.matrix[cloud.row_ids.index(rid)]
+            row = dense(cloud)[cloud.row_ids.index(rid)]
             nonzero = [int(c) for c in row if c]
             assert nonzero == [c for c in jones_double_twist(2 * k, 2 * k)
                                .int_coeffs()[1] if c], rid

@@ -22,6 +22,7 @@ from knotfold.pca import (
 )
 
 from conftest import traced_peak
+from oracles import dense
 
 
 def random_symmetric(n, seed):
@@ -181,6 +182,16 @@ class TestSymEig:
             assert np.array_equal(np.abs(es.eigenvectors),
                                   np.abs(vec[:, ::-1]))
 
+    @pytest.mark.parametrize("entry", [(0, 2), (599, 3), (3, 599)])
+    def test_skew_in_any_row_block_raises(self, entry):
+        """The symmetry check runs one block of rows at a time; a skew
+        entry in the first or the last of three blocks is refused."""
+        n = 2 * NORM_BLOCK_ROWS + 88
+        k = random_symmetric(n, 10)
+        k[entry] += 1.0
+        with pytest.raises(NotSymmetric):
+            sym_eig(k)
+
     def test_deterministic(self):
         k = random_symmetric(30, 9)
         a, b = sym_eig(k), sym_eig(k.copy())
@@ -256,12 +267,26 @@ class TestProjection:
     def test_rows(self, double_twist_91):
         """Projecting some rows gives the bits of projecting their own
         matrix, whether a block of them is consecutive or not."""
-        m = double_twist_91.matrix
+        m = dense(double_twist_91)
         acc = CovarianceAccumulator(m.shape[1]).add_block(m)
         es = sym_eig(acc.finalize())
         rows = np.r_[0:300, 301:900:3, 1000:1541]
         got = project(m, acc.mean, es, 3, rows)
         assert got.tobytes() == project(m[rows], acc.mean, es, 3).tobytes()
+
+    def test_cloud_columns(self, double_twist_91):
+        """A family cloud projects, through its rows(), with the bits of its
+        dense matrix; columns cut a window from both."""
+        m = dense(double_twist_91)
+        acc = CovarianceAccumulator(40).add_block(m[:, 30:70])
+        es = sym_eig(acc.finalize())
+        rows = np.r_[0:300, 301:900:3, 1000:1541]
+        want = project(m[:, 30:70], acc.mean, es, 3, rows).tobytes()
+        for source in (m, double_twist_91):
+            got = project(source, acc.mean, es, 3, rows, slice(30, 70))
+            assert got.tobytes() == want
+        with pytest.raises(DimensionMismatch):
+            project(double_twist_91, acc.mean, es, 3, rows, slice(30, 71))
 
     def test_k_too_large(self):
         x = np.random.default_rng(13).standard_normal((10, 4))
@@ -307,13 +332,13 @@ class TestExactMoments:
         return acc
 
     def test_block_sizes(self, double_twist_91):
-        m = double_twist_91.matrix
+        m = dense(double_twist_91)
         want = self.blocked(m, len(m)).finalize()
         for size in (1, 7):
             assert self.blocked(m, size).finalize().tobytes() == want.tobytes()
 
     def test_shard_orders(self, double_twist_91):
-        m = double_twist_91.matrix
+        m = dense(double_twist_91)
         cuts = [0, 300, 301, 900, 1400, len(m)]
         shards = [self.blocked(m[a:b], len(m)) for a, b in zip(cuts, cuts[1:])]
         want = self.blocked(m, len(m)).finalize().tobytes()
@@ -328,10 +353,12 @@ class TestExactMoments:
         pin patched out, 1 and 2 OpenBLAS threads give the same K."""
         script = (
             "import contextlib, hashlib\n"
+            "import numpy as np\n"
             "import knotfold.pca as pca\n"
             "from knotfold.families import family_cloud\n"
             "pca._one_blas_thread = contextlib.nullcontext\n"
-            "m = family_cloud('torus', 300)[1].matrix\n"
+            "c = family_cloud('torus', 300)[1]\n"
+            "m = c.rows(np.arange(len(c.row_ids)))\n"
             "acc = pca.CovarianceAccumulator(m.shape[1]).add_block(m)\n"
             "k = acc.finalize()\n"
             "print(hashlib.sha256(k.tobytes()).hexdigest())\n")
@@ -389,7 +416,7 @@ class TestExactMoments:
 
     def test_column_window(self, double_twist_91):
         """finalize(columns) equals the moments of those columns alone."""
-        m = double_twist_91.matrix
+        m = dense(double_twist_91)
         acc = CovarianceAccumulator(m.shape[1]).add_block(m)
         part = CovarianceAccumulator(40).add_block(m[:, 30:70])
         assert acc.finalize(slice(30, 70)).tobytes() == \
@@ -405,7 +432,7 @@ class TestMemory:
     def test_add_block_peaks_below_one_and_a_half_copies(
             self, double_twist_91):
         """Far below: one float block of rows, S and one product."""
-        m = double_twist_91.matrix
+        m = dense(double_twist_91)
         acc = CovarianceAccumulator(m.shape[1])
         block = min(acc.block_rows, len(m)) * m.shape[1] * 8
         square = m.shape[1] ** 2 * 8  # S, and one block's product
@@ -415,7 +442,7 @@ class TestMemory:
 
     def test_project_peaks_below_one_and_a_half_copies(self, double_twist_91):
         """Far below: one centered float block of rows and the output."""
-        m = double_twist_91.matrix
+        m = dense(double_twist_91)
         acc = CovarianceAccumulator(m.shape[1]).add_block(m)
         es = sym_eig(acc.finalize())
         block = NORM_BLOCK_ROWS * m.shape[1] * 8

@@ -13,7 +13,8 @@ from knotfold.cli import main
 from knotfold.diagrams import parse_dt, realize_dt
 from knotfold.errors import (BadEnvironment, KnotfoldError, Unreadable,
                              UnknownFormat)
-from knotfold.families import jones_torus
+from knotfold.cloud import NORM_BLOCK_ROWS
+from knotfold.families import FamilyCloud, family_cloud, jones_torus
 from knotfold.filtration import crossing_filtration, record_cloud
 from knotfold.pipeline import (
     AnalysisConfig,
@@ -664,6 +665,43 @@ class TestRunAnalysis:
         rows = 5 if kind == "crossing" else 8
         assert len((out / "projection.csv").read_text().splitlines()) == \
             rows + 1
+
+    @pytest.mark.parametrize("kind, limit, k_min", [
+        ("torus", 60, 40), ("double_twist", 41, 30)])
+    def test_family_cloud_matches_records(self, tmp_path, kind, limit,
+                                          k_min):
+        """A run over the family cloud, whose rows are evaluated block by
+        block, writes the bytes of a run over the aligned matrix of
+        generate_family's records."""
+        _, family = family_cloud(kind, limit)
+        records = records_cloud(generate_family(kind, limit)[1])
+        for config in (AnalysisConfig(k_min=k_min, k_max=limit),
+                       AnalysisConfig(filtration="norm", levels=4),
+                       AnalysisConfig(k_min=k_min, k_max=limit,
+                                      class_filter="alternating")):
+            got, want = tmp_path / "family", tmp_path / "records"
+            run_analysis(family, config, str(got))
+            run_analysis(records, config, str(want))
+            assert bundle_bytes(got) == bundle_bytes(want), config
+
+    @pytest.mark.parametrize("config", [
+        AnalysisConfig(k_min=80, k_max=91),
+        AnalysisConfig(filtration="norm", levels=3)])
+    def test_family_rows_read_in_blocks(self, tmp_path, monkeypatch, config):
+        """A family run reads its rows in blocks of at most
+        max(NORM_BLOCK_ROWS, width), never all at once."""
+        _, cloud = family_cloud("double_twist", 91)
+        sizes = []
+        rows = FamilyCloud.rows
+
+        def counted(self, indices):
+            sizes.append(len(indices))
+            return rows(self, indices)
+
+        monkeypatch.setattr(FamilyCloud, "rows", counted)
+        run_analysis(cloud, config, str(tmp_path / "rep"))
+        assert sum(sizes) >= 2 * len(cloud.row_ids)  # moments + projection
+        assert max(sizes) <= max(NORM_BLOCK_ROWS, cloud.width)
 
     def test_no_steps_raises(self, tmp_path):
         with pytest.raises(KnotfoldError):
