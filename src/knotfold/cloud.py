@@ -2,17 +2,18 @@
 
 Turns a family of knots into rows of integer coefficients: pick one knot
 from each mirror pair, read off dense coefficient rows, and zero-pad them
-into a family-wide degree window.  A cloud holds per-row metadata in id
-order (ids, norms, class flags, sigma, crossing numbers) and hands out
-its rows through one contract, rows(indices): int64 rows at full width.
-align builds the dataset cloud, which keeps its rows in one matrix, from
-(id, min_degree, coefficients, alternating, sigma, crossing_number) rows;
-computed records (filtration.record_cloud) come this way.  The closed-form
-families (families.family_cloud) keep no matrix: their rows are evaluated
-from the closed forms when read.  Both pick the mirror image by the one
-extreme-degree rule, prefers_mirror.  An analysis run builds one cloud,
-and its filtration steps and class filters are row and column slices of
-it.
+into a family-wide degree window.  A cloud is one record, Cloud: per-row
+metadata in id order (ids, norms, class flags, sigma, crossing numbers,
+and the degree span of each row, set when the cloud is built) and one
+contract for its rows, rows(indices): int64 rows at full width.  align
+builds the dataset cloud, which keeps its rows in one matrix, from (id,
+min_degree, coefficients, alternating, sigma, crossing_number) rows;
+computed records (filtration.record_cloud) come this way.  The
+closed-form families (families.family_cloud) keep no matrix: their rows
+are evaluated from the closed forms when read.  Both pick the mirror
+image by the one extreme-degree rule, prefers_mirror.  An analysis run
+builds one cloud; a filtration step is a set of its rows and a degree
+window, with no cloud of its own.
 """
 
 from __future__ import annotations
@@ -89,14 +90,27 @@ def prefers_mirror(lo, hi):
     return (lo if abs(lo) > abs(hi) else hi) < 0
 
 
+@dataclass(frozen=True, eq=False)
 class Cloud:
-    """What every cloud offers on top of rows(indices).
+    """What every cloud holds, and what it offers on top of rows(indices).
 
-    A cloud has row_ids, min_degree, width, norms, class_flags,
-    sigma_values and crossing_numbers, and rows(indices), which returns the
-    rows at the given ascending indices as an int64 array of full width.
-    Callers must not write to what rows returns.
+    Per row, in id order: row_ids, norms, class_flags, sigma_values,
+    crossing_numbers and spans, two arrays of each row's lowest and
+    highest degree, set when the cloud is built; the rows share the
+    degree window min_degree..max_degree, width columns wide.
+    rows(indices) returns the rows at the given ascending indices as an
+    int64 array of full width.  Callers must not write to what rows
+    returns.
     """
+
+    row_ids: tuple
+    min_degree: int
+    width: int
+    norms: np.ndarray
+    class_flags: tuple
+    sigma_values: tuple
+    crossing_numbers: tuple
+    spans: tuple
 
     @property
     def max_degree(self):
@@ -107,72 +121,13 @@ class Cloud:
         for i in range(0, len(indices), size):
             yield self.rows(indices[i:i + size])
 
-    def row_spans(self):
-        """Each row's lowest and highest degree with a nonzero entry, as two
-        arrays; a zero row spans degree 0, as int_coeffs reads it."""
-        import numpy as np
 
-        lows, highs = [], []
-        for block in self.row_blocks(np.arange(len(self.row_ids))):
-            nonzero = block != 0
-            found = nonzero.any(axis=1)
-            lows.append(np.where(
-                found, nonzero.argmax(axis=1) + self.min_degree, 0))
-            highs.append(np.where(
-                found, self.max_degree - nonzero[:, ::-1].argmax(axis=1), 0))
-        return np.concatenate(lows), np.concatenate(highs)
-
-    def subcloud(self, rows, min_degree, max_degree):
-        """The given rows (ascending row indices), cut to [min_degree,
-        max_degree], as a dataset cloud; this cloud itself when that cuts
-        nothing.
-
-        The window must lie inside this cloud's, and every row must be zero
-        outside it; the result then equals aligning those rows alone into
-        that window.  The norms are this cloud's: a row's float sum of
-        squares is exact, whatever the zero padding, while it stays below
-        2^53.
-        """
-        import numpy as np
-
-        if (len(rows) == len(self.row_ids)
-                and (min_degree, max_degree) == (self.min_degree,
-                                                 self.max_degree)):
-            return self
-        rows = np.asarray(rows, dtype=np.int64)
-        start = min_degree - self.min_degree
-        cut = slice(start, start + max_degree - min_degree + 1)
-        matrix = np.empty((len(rows), cut.stop - start), dtype=np.int64)
-        for i, block in enumerate(self.row_blocks(rows)):
-            matrix[i * NORM_BLOCK_ROWS:(i + 1) * NORM_BLOCK_ROWS] = \
-                block[:, cut]
-        return AlignedCloud(
-            row_ids=tuple(self.row_ids[j] for j in rows),
-            matrix=matrix,
-            min_degree=min_degree,
-            norms=self.norms[rows],
-            class_flags=tuple(self.class_flags[j] for j in rows),
-            sigma_values=tuple(self.sigma_values[j] for j in rows),
-            crossing_numbers=tuple(self.crossing_numbers[j] for j in rows),
-        )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlignedCloud(Cloud):
     """A dataset cloud: its rows padded into one shared degree window, in
     one int64 matrix."""
 
-    row_ids: tuple
     matrix: np.ndarray
-    min_degree: int
-    norms: np.ndarray
-    class_flags: tuple
-    sigma_values: tuple
-    crossing_numbers: tuple
-
-    @property
-    def width(self):
-        return self.matrix.shape[1]
 
     def rows(self, indices):
         return matrix_rows(self.matrix, indices)
@@ -191,7 +146,9 @@ def align(rows):
     crossing_number) rows into one cloud, in id order.
 
     Each row is written into one preallocated int64 matrix; numpy raises
-    OverflowError for any coefficient outside int64.
+    OverflowError for any coefficient outside int64.  A row spans the
+    degrees it is given, from its min_degree on, zero end entries
+    included.
     """
     import numpy as np
 
@@ -203,14 +160,17 @@ def align(rows):
     matrix = np.zeros((len(rows), hi - lo + 1), dtype=np.int64)
     for out, (_, start, coeffs, _, _, _) in zip(matrix, rows):
         out[start - lo:start - lo + len(coeffs)] = coeffs
+    lows = np.array([row[1] for row in rows], dtype=np.int64)
     return AlignedCloud(
         row_ids=tuple(row[0] for row in rows),
-        matrix=matrix,
         min_degree=lo,
+        width=hi - lo + 1,
         norms=row_norms(matrix),
         class_flags=tuple(row[3] for row in rows),
         sigma_values=tuple(row[4] for row in rows),
         crossing_numbers=tuple(row[5] for row in rows),
+        spans=(lows, lows + [len(row[2]) - 1 for row in rows]),
+        matrix=matrix,
     )
 
 

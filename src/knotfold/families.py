@@ -9,9 +9,10 @@ jones_torus and jones_double_twist wrap those lists as polynomials for the
 records that `generate` caches.  family_cloud, whose cloud is what an
 analysis runs on, evaluates the same formulas vectorized over blocks of
 members (_torus_block, _double_twist_block), and the tests hold those to
-the row functions.  Its FamilyCloud keeps each member's parameters, not
-a matrix, and evaluates a block of rows whenever one is read, so a
-family's analysis never holds its N x width coefficients at once.
+the row functions.  Its FamilyCloud keeps each member's parameters and
+degree span, not a matrix, and evaluates a block of rows whenever one is
+read, so a family's analysis never holds its N x width coefficients at
+once; a filtration step reads its rows from this one cloud.
 
 The closed forms are checked against explicit diagrams from one builder,
 four_plat_diagram: the numerator closure of the rational tangle
@@ -253,7 +254,7 @@ def _torus_block(m, n):
     import numpy as np
 
     rows = np.arange(len(m))
-    block = np.zeros((len(m), (m + n).max() + 1), dtype=np.int64)
+    block = np.zeros((len(m), (m + n).max(initial=0) + 1), dtype=np.int64)
     block[:, 0] = 1
     block[rows, m + 1] -= 1
     block[rows, n + 1] -= 1
@@ -275,7 +276,7 @@ def _double_twist_block(m, n):
     import numpy as np
 
     c = m + n
-    j = np.arange(c.max() + 1)
+    j = np.arange(c.max(initial=0) + 1)
     ramp = np.minimum(np.minimum(m, n)[:, None],
                       np.minimum(j, c[:, None] - j)).clip(0)
     block = np.where((n[:, None] + j) & 1, -ramp, ramp)
@@ -291,27 +292,18 @@ def _double_twist_block(m, n):
 class FamilyCloud(Cloud):
     """The cloud of a closed-form family, holding no matrix.
 
-    Per member, in id order: the metadata every cloud has, the closed-form
-    parameters (m, n), ``flip`` where prefers_mirror picks the mirror
-    image, and the row ``spans`` (lowest, highest degree), which the
-    closed-form row fills: its entry j sits at degree low + j, or at
+    Per member, in id order: the closed-form parameters (m, n) and
+    ``flip`` where prefers_mirror picks the mirror image.  The closed-form
+    row fills the member's span: its entry j sits at degree low + j, or at
     high - j where the member is flipped.  rows(indices) evaluates the
     vectorized closed form of just those members and copies each row into
     its span.
     """
 
-    row_ids: tuple
-    min_degree: int
-    width: int
-    norms: np.ndarray
-    class_flags: tuple
-    sigma_values: tuple
-    crossing_numbers: tuple
     kind: str
     m: np.ndarray
     n: np.ndarray
     flip: np.ndarray
-    spans: tuple
 
     def rows(self, indices):
         import numpy as np
@@ -324,9 +316,6 @@ class FamilyCloud(Cloud):
                 self.flip[indices].tolist()):
             row[a:b] = entries[b - a - 1::-1] if flip else entries[:b - a]
         return out
-
-    def row_spans(self):
-        return self.spans
 
 
 _BLOCKS = {"torus": _torus_block, "double_twist": _double_twist_block}
@@ -375,9 +364,9 @@ def family_cloud(kind, limit):
         class_flags=tuple(members[i][2] for i in order),
         sigma_values=(None,) * len(ids),
         crossing_numbers=tuple(members[i][1] for i in order),
+        spans=(lows[order], highs[order]),
         kind=kind,
         m=m[order],
         n=n[order],
         flip=flip[order],
-        spans=(lows[order], highs[order]),
     )

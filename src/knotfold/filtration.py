@@ -1,20 +1,19 @@
 """Nested-family analyses: filtrations, spectra, and stability diagnostics.
 
 A filtration is an increasing sequence of knot sets, here by crossing
-number or by coefficient-vector norm.  Every step names a set of rows of
-one cloud (record_cloud's dataset cloud, or families.family_cloud's,
-which holds no matrix) and the degree window they span; its own cloud is
-cut only when it is read.  Rows are read through the cloud's
-rows(indices), a block at a time.  Each step gets its own PCA, from exact
-integer moments that run over the steps: a step folds in only the rows
-it adds.  The diagnostics compare steps: explained-variance
-trajectories, principal angles between consecutive steps, relative
-spreads, and norm histograms.
+number or by coefficient-vector norm.  A step is rows plus a window:
+ascending row indices of one cloud (record_cloud's dataset cloud, or
+families.family_cloud's, which holds no matrix) and the degree window
+those rows span, read off the cloud's spans.  It has no cloud of its
+own; its rows are read through the cloud's rows(indices), a block at a
+time.  Each step gets its own PCA, from exact integer moments that run
+over the steps: a step folds in only the rows it adds.  The diagnostics
+compare steps: explained-variance trajectories, principal angles
+between consecutive steps, relative spreads, and norm histograms.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -32,37 +31,20 @@ CLASS_FILTERS = ("all", "alternating", "nonalternating")
 
 @dataclass(frozen=True, eq=False)
 class FiltrationStep:
-    """One level of a filtration: a label, and the rows of a source cloud
-    it holds, cut to a degree window.
-
-    ``rows`` are ascending row indices of the source (all of them when not
-    given) and ``degrees`` is the window (min_degree, max_degree) (the
-    source's when not given); every row must be zero outside it.  The
-    step's own cloud is cut from the source when ``cloud`` is first read,
-    and kept.
-    """
+    """One level of a filtration: a label, ascending row indices of a
+    source cloud, and the degree window (min_degree, max_degree) they are
+    read in.  Every row must be zero outside the window.  A step has no
+    cloud of its own: its rows are read through source.rows(indices)."""
 
     label: str
     source: Cloud
-    rows: np.ndarray = None
-    degrees: tuple = None
-
-    def __post_init__(self):
-        if self.rows is None:
-            object.__setattr__(self, "rows",
-                               np.arange(len(self.source.row_ids)))
-        if self.degrees is None:
-            object.__setattr__(self, "degrees", (self.source.min_degree,
-                                                 self.source.max_degree))
-
-    @functools.cached_property
-    def cloud(self):
-        return self.source.subcloud(self.rows, *self.degrees)
+    rows: np.ndarray
+    degrees: tuple
 
 
 def _window(rows, spans):
     """The degree window (min_degree, max_degree) that the given rows span;
-    spans is their cloud's row_spans()."""
+    spans is their cloud's."""
     lows, highs = spans
     return int(lows[rows].min()), int(highs[rows].max())
 
@@ -89,16 +71,16 @@ def _class_rows(cloud, class_filter):
 
 
 def crossing_filtration(cloud, k_min, k_max, class_filter="all"):
-    """Nested clouds of the rows with crossing number <= k, k = k_min..k_max.
+    """Nested steps of the rows with crossing number <= k, k = k_min..k_max.
 
     Steps come one at a time, in order, so a caller holds only the step it
     works on.  Each is the subset of the cloud's rows that pass the class
-    filter and have crossing number <= k, cut to the degree window those
-    rows span, so it equals aligning that step alone.  Only the k from the
-    smallest to the largest crossing number of those rows are visited (any
-    other would be empty or repeat the last step), but a k_min above them
-    all gets one step holding every such row.  A cloud with a row that has
-    no crossing number is refused at the call.
+    filter and have crossing number <= k, in the degree window those rows
+    span, so its rows read in that window equal aligning that step alone.
+    Only the k from the smallest to the largest crossing number of those
+    rows are visited (any other would be empty or repeat the last step),
+    but a k_min above them all gets one step holding every such row.  A
+    cloud with a row that has no crossing number is refused at the call.
     """
     if k_min > k_max:
         raise ValueError(f"k_min {k_min} exceeds k_max {k_max}")
@@ -107,7 +89,6 @@ def crossing_filtration(cloud, k_min, k_max, class_filter="all"):
             raise Unsupported(f"row {rid!r} has no crossing number")
     chosen = _class_rows(cloud, class_filter)
     crossings = np.array(cloud.crossing_numbers)
-    spans = cloud.row_spans()
     first, last = k_max + 1, k_max  # no class row, no step
     if chosen.any():
         first = max(k_min, int(crossings[chosen].min()))
@@ -116,7 +97,8 @@ def crossing_filtration(cloud, k_min, k_max, class_filter="all"):
     def steps():
         for k in range(first, last + 1):
             rows = np.flatnonzero(chosen & (crossings <= k))
-            yield FiltrationStep(str(k), cloud, rows, _window(rows, spans))
+            yield FiltrationStep(str(k), cloud, rows,
+                                 _window(rows, cloud.spans))
 
     return steps()
 
@@ -133,7 +115,7 @@ def norm_filtration(cloud, levels, class_filter="all"):
     rows = np.flatnonzero(_class_rows(cloud, class_filter))
     if not len(rows):
         raise EmptyFamily("cannot align an empty family")
-    degrees = _window(rows, cloud.row_spans())
+    degrees = _window(rows, cloud.spans)
     norms, ids = cloud.norms.tolist(), cloud.row_ids
     order = sorted(rows.tolist(), key=lambda j: (norms[j], ids[j]))
     steps = []
@@ -181,18 +163,6 @@ def _tracked(spectrum):
     es = spectrum.eigensystem
     return replace(spectrum, eigensystem=replace(
         es, eigenvectors=es.eigenvectors[:, :TRACKED_COMPONENTS].copy()))
-
-
-def step_spectrum(step, variance_threshold=0.95):
-    """The PCA of one step on its own, from its cloud's rows."""
-    cloud = step.cloud
-    acc = CovarianceAccumulator(cloud.width)
-    for block in cloud.row_blocks(np.arange(len(cloud.row_ids)),
-                                  acc.block_rows):
-        acc.add_block(block)
-    k, mean = acc.finalize(), acc.mean
-    del acc  # the moments go before the eigensolve
-    return _spectrum(step, k, mean, variance_threshold)
 
 
 def eigensystem_trajectory(steps, variance_threshold=0.95):

@@ -7,7 +7,10 @@ S = sum x x^T.  Each block of rows is multiplied in one float copy, no
 larger than S, which is exact while max|x|^2 * rows < 2^53, and K =
 (N S - s s^T) / (N (N - 1)) is formed once in int64.  So K has the same
 bits for any block size, merge order or BLAS thread count, and a bound
-that fails raises MomentOverflow instead of rounding.  Float rows keep
+that fails raises MomentOverflow instead of rounding.  Rows come in
+blocks (add_block): a filtration step, rows plus a degree window with
+no cloud of its own, adds the blocks its source cloud reads for it and
+takes K of its window's columns (finalize(columns)).  Float rows keep
 centered moments.  Their product, the eigensolve and the projection run
 on one BLAS thread, so results do not depend on the thread count.  The
 projection centers and multiplies one block of rows at a time.  Inputs
@@ -57,13 +60,6 @@ class CovarianceAccumulator:
         self.integer = None  # the kind of the rows held; None while empty
         self.mean = np.zeros(dim)
 
-    def add(self, row):
-        row = np.asarray(row)
-        if row.shape != (self.dim,):
-            raise DimensionMismatch(
-                f"row of length {row.shape} in a {self.dim}-dim accumulator")
-        return self.add_block(row[None, :])
-
     def add_block(self, rows):
         """Accumulate a 2-D block at once.  A block with no rows leaves the
         accumulator as it is.
@@ -71,8 +67,7 @@ class CovarianceAccumulator:
         An integer block is multiplied block_rows rows at a time, each in
         one float copy, and MomentOverflow is raised for a part whose
         product could round.  A float block is centered in its one private
-        float copy and merged like any other shard, so a block of one row
-        gives the same bits as ``add``.
+        float copy and merged like any other shard.
         """
         rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != self.dim:

@@ -351,10 +351,9 @@ def compute_batch(dataset, cache, workers=None, convention="a",
             failures.append((r.id, cache.failure(key)))
         else:
             records.append(rec)
-    if dataset.records and len(failures) > max_failure_fraction * len(dataset.records):
-        if failures:
-            raise KnotfoldError(
-                f"{len(failures)} records failed, first: {failures[0]}")
+    if failures and len(failures) > max_failure_fraction * len(dataset.records):
+        raise KnotfoldError(
+            f"{len(failures)} records failed, first: {failures[0]}")
     return records, failures
 
 

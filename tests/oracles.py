@@ -1,15 +1,20 @@
 """Slow reference implementations that the tests compare the library against.
 
 None of these runs on a production path: the package evaluates the bracket
-by its sweep alone, has no polynomial division or skein check, and builds
-family clouds without a polynomial or record per member.
+by its sweep alone, has no polynomial division or skein check, builds
+family clouds without a polynomial or record per member, sets row spans
+when a cloud is built instead of scanning its rows, never cuts a
+filtration step into a cloud of its own, and feeds the accumulator whole
+blocks, not single rows.
 """
 
 import numpy as np
 
-from knotfold.cloud import align
+from knotfold.cloud import AlignedCloud, align
 from knotfold.errors import InexactDivision, KnotfoldError, VariableMismatch
+from knotfold.filtration import FiltrationStep, StepSpectrum
 from knotfold.laurent import LaurentPolynomial
+from knotfold.pca import CovarianceAccumulator, dimension_estimate, sym_eig
 
 STATESUM_CAP = 24
 
@@ -147,9 +152,82 @@ def dense(cloud):
     return cloud.rows(np.arange(len(cloud.row_ids)))
 
 
+def row_spans(cloud):
+    """Each row's lowest and highest degree with a nonzero entry, scanned
+    off its rows, as two arrays; a zero row spans degree 0, as int_coeffs
+    reads it."""
+    lows, highs = [], []
+    for block in cloud.row_blocks(np.arange(len(cloud.row_ids))):
+        nonzero = block != 0
+        found = nonzero.any(axis=1)
+        lows.append(np.where(
+            found, nonzero.argmax(axis=1) + cloud.min_degree, 0))
+        highs.append(np.where(
+            found, cloud.max_degree - nonzero[:, ::-1].argmax(axis=1), 0))
+    return np.concatenate(lows), np.concatenate(highs)
+
+
+def whole_step(label, cloud):
+    """The step holding every row of a cloud, in the cloud's window."""
+    return FiltrationStep(label, cloud, np.arange(len(cloud.row_ids)),
+                          (cloud.min_degree, cloud.max_degree))
+
+
+def step_cloud(step):
+    """A step's rows cut to its degree window, as a dataset cloud of its
+    own.
+
+    Every row must be zero outside the window; the result then equals
+    aligning those rows alone into that window.  The norms and spans are
+    the source's: a row's float sum of squares is exact, whatever the zero
+    padding, while it stays below 2^53.
+    """
+    source, rows = step.source, np.asarray(step.rows, dtype=np.int64)
+    min_degree, max_degree = step.degrees
+    start, width = min_degree - source.min_degree, max_degree - min_degree + 1
+    matrix = source.rows(rows)[:, start:start + width].copy()
+    return AlignedCloud(
+        row_ids=tuple(source.row_ids[j] for j in rows),
+        min_degree=min_degree,
+        width=width,
+        norms=source.norms[rows],
+        class_flags=tuple(source.class_flags[j] for j in rows),
+        sigma_values=tuple(source.sigma_values[j] for j in rows),
+        crossing_numbers=tuple(source.crossing_numbers[j] for j in rows),
+        spans=tuple(s[rows] for s in source.spans),
+        matrix=matrix,
+    )
+
+
+def step_spectrum(step, variance_threshold=0.95):
+    """The PCA of one step on its own, from its cut cloud's rows."""
+    cloud = step_cloud(step)
+    acc = CovarianceAccumulator(cloud.width).add_block(cloud.matrix)
+    es = sym_eig(acc.finalize())
+    lo, hi = step.degrees
+    return StepSpectrum(
+        label=step.label,
+        count=len(step.rows),
+        ambient_dim=hi - lo + 1,
+        mean=acc.mean,
+        eigensystem=es,
+        dimension=dimension_estimate(es.normalized, variance_threshold),
+        min_degree=lo,
+        max_degree=hi,
+    )
+
+
+def add_rows(acc, *rows):
+    """Fold rows into an accumulator one at a time, each as a one-row
+    block; returns the accumulator."""
+    for r in rows:
+        acc.add_block(np.asarray(r)[None, :])
+    return acc
+
+
 def assert_same_cloud(got, want, label=None):
     """Two clouds hold the same rows: ids, row bytes and dtype, window,
-    norms, class flags, sigma values and crossing numbers."""
+    norms, class flags, sigma values, crossing numbers and spans."""
     assert got.row_ids == want.row_ids, label
     got_rows, want_rows = dense(got), dense(want)
     assert got_rows.dtype == want_rows.dtype, label
@@ -161,3 +239,6 @@ def assert_same_cloud(got, want, label=None):
     assert got.class_flags == want.class_flags, label
     assert got.sigma_values == want.sigma_values, label
     assert got.crossing_numbers == want.crossing_numbers, label
+    assert len(got.spans) == len(want.spans) == 2, label
+    for g, w in zip(got.spans, want.spans):
+        assert g.dtype == w.dtype and np.array_equal(g, w), label

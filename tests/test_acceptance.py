@@ -46,7 +46,7 @@ from knotfold.pipeline import (
 
 from conftest import FIXTURE_FILE, TABLE_MATRIX
 from oracles import (assert_same_cloud, bracket_statesum, records_cloud, row,
-                     skein_check)
+                     skein_check, step_cloud)
 
 DT13 = os.environ.get("KNOTFOLD_DT13")
 FULL_DOUBLE_TWIST = os.environ.get("KNOTFOLD_FULL_DOUBLE_TWIST")
@@ -232,8 +232,8 @@ def test_criterion_8_property_suite(fixture_diagrams, tmp_path):
 
     # filtration nesting and embedded-row equality
     for prev, cur in zip(steps, steps[1:]):
-        assert set(prev.cloud.row_ids) <= set(cur.cloud.row_ids)
-    small, large = steps[0].cloud, steps[-1].cloud
+        assert set(prev.rows.tolist()) <= set(cur.rows.tolist())
+    small, large = step_cloud(steps[0]), step_cloud(steps[-1])
     shift = small.min_degree - large.min_degree
     w = small.matrix.shape[1]
     for i, name in enumerate(small.row_ids):
@@ -242,7 +242,7 @@ def test_criterion_8_property_suite(fixture_diagrams, tmp_path):
                               large.matrix[j, shift:shift + w]), name
     nsteps = norm_filtration(large, 3)
     for prev, cur in zip(nsteps, nsteps[1:]):
-        assert set(prev.cloud.row_ids) <= set(cur.cloud.row_ids)
+        assert set(prev.rows.tolist()) <= set(cur.rows.tolist())
 
     # byte determinism across worker counts, end to end
     ds = ingest([FIXTURE_FILE])

@@ -152,8 +152,15 @@ class TestAlign:
                     cloud.crossing_numbers[i]) == meta[name], name
 
     def test_single_knot_no_padding(self):
+        """A row spans the degrees it is given: a trimmed row its nonzero
+        ones, and a row with zero end entries all of its entries."""
         cloud = align(self._family()[1:2])
         assert cloud.width == 4  # the trefoil spans degrees 1..4
+        assert [s.tolist() for s in cloud.spans] == [[1], [4]]
+        padded = align([("z", -2, (0, 1, 0, 0), None, None, None),
+                        ("y", 0, (1,), None, None, None)])
+        assert (padded.min_degree, padded.width) == (-2, 4)
+        assert [s.tolist() for s in padded.spans] == [[0, -2], [0, 1]]
 
     def test_norms(self):
         cloud = align(self._family())

@@ -6,7 +6,7 @@ import pytest
 
 from knotfold import diagrams, families
 from knotfold.bracket import bracket_to_jones, jones, kauffman_bracket
-from knotfold.cloud import Cloud
+from knotfold.cloud import KnotRecord
 from knotfold.diagrams import is_alternating, writhe
 from knotfold.errors import InexactDivision, NotAKnot, UnknownFormat
 from knotfold.families import (
@@ -26,12 +26,13 @@ from knotfold.families import (
     torus_members,
     torus_row,
 )
+from knotfold.filtration import record_cloud
 from knotfold.laurent import LaurentPolynomial
 from knotfold.pipeline import generate_family
 
-from conftest import traced_peak
+from conftest import TABLE_CROSSINGS, TABLE_POLYS, traced_peak
 from oracles import (assert_same_cloud, bracket_statesum, dense,
-                     exact_div, records_cloud, shift)
+                     exact_div, records_cloud, row_spans, shift)
 
 
 def torus_oracle(m, n):
@@ -273,12 +274,36 @@ class TestFamilyCloud:
                 assert got == want + [0] * (len(got) - len(want)), (m, n)
 
     @pytest.mark.parametrize("kind, limit", [
-        ("torus", 300), ("double_twist", 91)])
+        ("torus", 300), ("double_twist", 91),
+        pytest.param("records", None, id="fixture-records")])
     def test_spans_match_the_rows(self, kind, limit):
-        """The closed-form row spans equal the ones read off the rows."""
-        _, cloud = family_cloud(kind, limit)
-        got, want = cloud.row_spans(), Cloud.row_spans(cloud)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        """The spans set when a cloud is built equal the ones scanned off
+        its rows: a family's closed-form spans, and the spans record_cloud
+        takes from each record's trimmed row."""
+        if kind == "records":
+            cloud = record_cloud([
+                KnotRecord(name, TABLE_CROSSINGS[name],
+                           LaurentPolynomial.from_text(text))
+                for name, text in TABLE_POLYS.items()])
+        else:
+            _, cloud = family_cloud(kind, limit)
+        got, want = cloud.spans, row_spans(cloud)
+        assert len(got) == 2
+        assert all(g.dtype == w.dtype and np.array_equal(g, w)
+                   for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("kind, limit", [
+        ("records", 30), ("torus", 30), ("double_twist", 21)])
+    def test_empty_block(self, kind, limit):
+        """rows() of no indices is an empty int64 block of full width, for
+        a dataset cloud and both family clouds."""
+        if kind == "records":
+            cloud = records_cloud(generate_family("torus", limit)[1])
+        else:
+            _, cloud = family_cloud(kind, limit)
+        block = cloud.rows(np.array([], dtype=np.int64))
+        assert block.dtype == np.int64
+        assert block.shape == (0, cloud.width)
 
     def test_holds_no_matrix(self):
         """Building a cloud holds a few blocks of rows at a time, far below

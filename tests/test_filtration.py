@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from knotfold import filtration
-from knotfold.cloud import AlignedCloud, KnotRecord, align
+from knotfold.cloud import KnotRecord, align
 from knotfold.errors import EmptyFamily, Unsupported, WindowOverflow
 from knotfold.families import (family_cloud, jones_torus,
                                torus_crossing_number)
@@ -21,7 +21,6 @@ from knotfold.filtration import (
     record_cloud,
     relative_spread,
     spread_table,
-    step_spectrum,
 )
 from knotfold.laurent import LaurentPolynomial
 from knotfold.pca import CovarianceAccumulator
@@ -29,7 +28,8 @@ from knotfold.pipeline import (InvariantCache, compute_batch, generate_family,
                                ingest)
 
 from conftest import FIXTURE_FILE, TABLE_CROSSINGS, TABLE_POLYS
-from oracles import assert_same_cloud, row
+from oracles import (assert_same_cloud, row, step_cloud, step_spectrum,
+                     whole_step)
 
 
 def fixture_records():
@@ -51,17 +51,15 @@ def staircase_cloud(n=8):
 
 
 def make_cloud(matrix):
-    matrix = np.asarray(matrix, dtype=np.int64)
-    n = len(matrix)
-    return AlignedCloud(
-        row_ids=tuple(f"p{i}" for i in range(n)),
-        matrix=matrix,
-        min_degree=0,
-        norms=np.sqrt((matrix.astype(float) ** 2).sum(axis=1)),
-        class_flags=(True,) * n,
-        sigma_values=(None,) * n,
-        crossing_numbers=(0,) * n,
-    )
+    """A cloud of the matrix's rows (fewer than ten), each spanning every
+    column from degree 0."""
+    return align([(f"p{i}", 0, list(r), True, None, 0)
+                  for i, r in enumerate(matrix)])
+
+
+def ids(step):
+    """The row ids of a step, read off its source."""
+    return tuple(step.source.row_ids[j] for j in step.rows)
 
 
 def in_class(alternating, class_filter):
@@ -81,7 +79,7 @@ def per_step_filtration(records, k_min, k_max, class_filter="all"):
         chosen.sort(key=lambda r: r.id)
         if not chosen:
             continue
-        steps.append(FiltrationStep(str(k), align(
+        steps.append(whole_step(str(k), align(
             [row(r.id, r.jones, r.alternating, r.sigma, r.crossing_number)
              for r in chosen])))
     return steps
@@ -90,7 +88,7 @@ def per_step_filtration(records, k_min, k_max, class_filter="all"):
 def assert_same_steps(got, want):
     assert [s.label for s in got] == [s.label for s in want]
     for g, w in zip(got, want):
-        assert_same_cloud(g.cloud, w.cloud, g.label)
+        assert_same_cloud(step_cloud(g), step_cloud(w), g.label)
 
 
 class TestCrossingFiltrationMatchesPerStep:
@@ -136,38 +134,30 @@ class TestCrossingFiltrationMatchesPerStep:
 
 
 class TestCrossingFiltration:
-    def test_steps_come_one_at_a_time(self, monkeypatch):
-        """Each step is cut from the cloud only when it is asked for, so a
-        caller holds one step's matrix at a time."""
+    def test_steps_come_one_at_a_time(self):
+        """Each step is made only when it is asked for, so a caller holds
+        one step at a time."""
         cloud = record_cloud(fixture_records())
-        cuts = []
-        subcloud = AlignedCloud.subcloud
-
-        def counted(self, *args):
-            cuts.append(args[1:])
-            return subcloud(self, *args)
-
-        monkeypatch.setattr(AlignedCloud, "subcloud", counted)
         steps = crossing_filtration(cloud, 3, 6)
-        assert cuts == []
-        assert len(next(steps).cloud.row_ids) == 2 and cuts == [(0, 4)]
-        assert [len(s.cloud.row_ids) for s in steps] == [3, 5, 8]
-        assert len(cuts) == 4
+        assert iter(steps) is steps
+        first = next(steps)
+        assert len(first.rows) == 2 and first.degrees == (0, 4)
+        assert [len(s.rows) for s in steps] == [3, 5, 8]
 
     def test_step_sizes(self):
         steps = steps_of(fixture_records(), 3, 6)
         assert [s.label for s in steps] == ["3", "4", "5", "6"]
-        assert [len(s.cloud.row_ids) for s in steps] == [2, 3, 5, 8]
+        assert [len(s.rows) for s in steps] == [2, 3, 5, 8]
 
     def test_nesting(self):
         steps = steps_of(fixture_records(), 3, 6)
         for prev, cur in zip(steps, steps[1:]):
-            assert set(prev.cloud.row_ids) <= set(cur.cloud.row_ids)
+            assert set(ids(prev)) <= set(ids(cur))
 
     def test_rows_agree_across_steps(self):
         """A knot's embedded row is the same in every window containing it."""
         steps = steps_of(fixture_records(), 5, 6)
-        small, large = steps[0].cloud, steps[1].cloud
+        small, large = step_cloud(steps[0]), step_cloud(steps[1])
         shift = small.min_degree - large.min_degree
         for i, name in enumerate(small.row_ids):
             j = large.row_ids.index(name)
@@ -202,7 +192,7 @@ class TestCrossingFiltration:
         row."""
         steps = steps_of(fixture_records(), 10, 20)
         assert [s.label for s in steps] == ["10"]
-        assert len(steps[0].cloud.row_ids) == 8
+        assert len(steps[0].rows) == 8
 
     def test_k_max_below_the_data(self):
         """A k_max below every crossing number gets no step."""
@@ -217,12 +207,12 @@ class TestCrossingFiltration:
         assert steps_of(records, 3, 7, class_filter="nonalternating") == []
         steps = steps_of(records, 3, 9, class_filter="nonalternating")
         assert [s.label for s in steps] == ["8"]
-        assert steps[0].cloud.row_ids == ("8_19",)
+        assert ids(steps[0]) == ("8_19",)
 
     def test_class_filter(self):
         steps = steps_of(fixture_records(), 6, 6,
                                     class_filter="alternating")
-        assert len(steps[0].cloud.row_ids) == 8
+        assert len(steps[0].rows) == 8
 
     def test_cloud_without_crossing_numbers(self):
         """A cloud aligned without crossing-number metadata is refused when
@@ -249,43 +239,43 @@ class TestNormFiltration:
         cloud = align([row(f"r{k}", LaurentPolynomial.monomial(k, k),
                            alternating=k % 2 == 0) for k in range(1, 9)])
         steps = norm_filtration(cloud, 2, "alternating")
-        assert [s.cloud.row_ids for s in steps] == [("r2", "r4"),
-                                                    ("r2", "r4", "r6", "r8")]
-        assert all((s.cloud.min_degree, s.cloud.max_degree) == (2, 8)
-                   for s in steps)
+        assert [ids(s) for s in steps] == [("r2", "r4"),
+                                           ("r2", "r4", "r6", "r8")]
+        assert all(s.degrees == (2, 8) for s in steps)
 
     def test_no_class_rows(self):
         """A class filter that keeps no row is refused at the call."""
         with pytest.raises(EmptyFamily):
-            norm_filtration(staircase_cloud(4).subcloud([1, 3], 0, 0), 2,
-                            "nonalternating")
+            norm_filtration(step_cloud(FiltrationStep(
+                "even", staircase_cloud(4), np.array([1, 3]), (0, 0))), 2,
+                "nonalternating")
 
     def test_sizes_and_radii(self):
         steps = norm_filtration(staircase_cloud(8), 3)
         assert [s.label for s in steps] == ["r_2", "r_1", "r_0"]
-        assert [len(s.cloud.row_ids) for s in steps] == [2, 4, 8]
-        assert [s.cloud.norms.max() for s in steps] == [2.0, 4.0, 8.0]
+        assert [len(s.rows) for s in steps] == [2, 4, 8]
+        assert [s.source.norms[s.rows].max() for s in steps] == \
+            [2.0, 4.0, 8.0]
 
     def test_innermost_keeps_smallest_norms(self):
         steps = norm_filtration(staircase_cloud(8), 3)
-        assert steps[0].cloud.row_ids == ("r1", "r2")
+        assert ids(steps[0]) == ("r1", "r2")
 
     def test_nesting(self):
         steps = norm_filtration(staircase_cloud(11), 4)
         for prev, cur in zip(steps, steps[1:]):
-            assert set(prev.cloud.row_ids) <= set(cur.cloud.row_ids)
+            assert set(ids(prev)) <= set(ids(cur))
 
     def test_window_shared_with_parent(self):
         cloud = align([row(name, LaurentPolynomial.from_text(t))
                        for name, t in TABLE_POLYS.items()])
         for s in norm_filtration(cloud, 2):
-            assert (s.cloud.min_degree, s.cloud.max_degree) == \
-                (cloud.min_degree, cloud.max_degree)
+            assert s.degrees == (cloud.min_degree, cloud.max_degree)
 
     def test_full_level_is_whole_cloud(self):
         cloud = staircase_cloud(5)
         last = norm_filtration(cloud, 3)[-1]
-        assert last.cloud.row_ids == cloud.row_ids
+        assert ids(last) == cloud.row_ids
 
     def test_bad_levels(self):
         with pytest.raises(ValueError):
@@ -295,7 +285,7 @@ class TestNormFiltration:
 class TestSpectra:
     def test_step_spectrum_fields(self):
         step = steps_of(fixture_records(), 6, 6)[0]
-        spec = step_spectrum(step)
+        (spec,), _ = eigensystem_trajectory([step])
         assert spec.count == 8 and spec.ambient_dim == 11
         assert 1 <= spec.dimension <= 11
         assert abs(spec.eigensystem.cumulative[-1] - 1.0) <= 1e-12
@@ -312,7 +302,7 @@ class TestSpectra:
 
     def test_trajectory_skips_one_record_steps(self):
         steps = steps_of(fixture_records(), -1, 4)
-        assert [len(s.cloud.row_ids) for s in steps] == [1, 1, 1, 2, 3]
+        assert [len(s.rows) for s in steps] == [1, 1, 1, 2, 3]
         specs, top = eigensystem_trajectory(steps)
         assert [s.label for s in specs] == ["3", "4"]
         assert top is steps[-1]
@@ -397,7 +387,7 @@ class TestRunningSums:
         own sums."""
         steps = steps_of(fixture_records(), 4, 6)
         assert_running_sums_match_oracle([steps[2], steps[0], steps[1]])
-        other = [FiltrationStep(s.label, s.cloud) for s in steps]
+        other = [whole_step(s.label, step_cloud(s)) for s in steps]
         assert_running_sums_match_oracle([steps[1], other[2], steps[2]])
 
     def test_each_row_enters_once(self, monkeypatch):
@@ -449,8 +439,8 @@ class TestAngles:
     def test_swapped_components_give_right_angle(self):
         a = make_cloud([[3, 0], [-3, 0], [1, 0], [-1, 0], [0, 1], [0, -1]])
         b = make_cloud([[0, 3], [0, -3], [0, 1], [0, -1], [1, 0], [-1, 0]])
-        specs = [step_spectrum(FiltrationStep("a", a)),
-                 step_spectrum(FiltrationStep("b", b))]
+        specs = [step_spectrum(whole_step("a", a)),
+                 step_spectrum(whole_step("b", b))]
         for _, _, theta in angle_trajectory(specs):
             assert theta == pytest.approx(math.pi / 2)
 
@@ -487,7 +477,8 @@ class TestHistogram:
         """The histogram of some rows is that of their own cloud."""
         cloud = staircase_cloud(8)
         rows = np.array([1, 4, 5, 7])
-        want_edges, want = norm_histogram(cloud.subcloud(rows, 0, 0), 3)
+        want_edges, want = norm_histogram(
+            step_cloud(FiltrationStep("some", cloud, rows, (0, 0))), 3)
         edges, counts = norm_histogram(cloud, 3, rows)
         assert np.array_equal(edges, want_edges)
         assert all(np.array_equal(counts[c], want[c]) for c in want)

@@ -22,7 +22,7 @@ from knotfold.pca import (
 )
 
 from conftest import traced_peak
-from oracles import dense
+from oracles import add_rows, dense
 
 
 def random_symmetric(n, seed):
@@ -33,22 +33,22 @@ def random_symmetric(n, seed):
 
 class TestAccumulator:
     def test_hand_example(self):
-        acc = CovarianceAccumulator(2).add([1, 0]).add([-1, 0])
+        acc = add_rows(CovarianceAccumulator(2), [1, 0], [-1, 0])
         assert np.allclose(acc.finalize(), [[2, 0], [0, 0]])
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
-            CovarianceAccumulator(2).add([1, 2]).finalize()
+            add_rows(CovarianceAccumulator(2), [1, 2]).finalize()
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            CovarianceAccumulator(2).add([1, 2, 3])
+            add_rows(CovarianceAccumulator(2), [1, 2, 3])
 
     def test_matches_numpy_cov(self):
         x = np.random.default_rng(1).standard_normal((50, 6))
         acc = CovarianceAccumulator(6)
         for row in x:
-            acc.add(row)
+            add_rows(acc, row)
         assert np.allclose(acc.finalize(), np.cov(x.T), atol=1e-12)
 
     def test_one_update_rule(self):
@@ -57,9 +57,9 @@ class TestAccumulator:
         x = np.random.default_rng(4).standard_normal((30, 5))
         rows, blocks, shards = (CovarianceAccumulator(5) for _ in range(3))
         for row in x:
-            rows.add(row)
+            add_rows(rows, row)
             blocks.add_block(row[None, :])
-            shards.merge(CovarianceAccumulator(5).add(row))
+            shards.merge(add_rows(CovarianceAccumulator(5), row))
         for acc in (blocks, shards):
             assert acc.count == rows.count
             assert np.array_equal(acc.mean, rows.mean)
@@ -393,7 +393,7 @@ class TestExactMoments:
         """A block whose float product could round is refused, not
         rounded."""
         with pytest.raises(MomentOverflow):
-            CovarianceAccumulator(2).add([2**27, 0])
+            add_rows(CovarianceAccumulator(2), [2**27, 0])
         rows = np.full((NORM_BLOCK_ROWS, 2), 2**23)
         CovarianceAccumulator(2).add_block(rows[:2])
         with pytest.raises(KnotfoldError):
@@ -407,12 +407,12 @@ class TestExactMoments:
 
     def test_kinds_do_not_mix(self):
         with pytest.raises(DimensionMismatch):
-            CovarianceAccumulator(2).add([1, 2]).add([0.5, 1.0])
+            add_rows(CovarianceAccumulator(2), [1, 2], [0.5, 1.0])
         with pytest.raises(DimensionMismatch):
-            CovarianceAccumulator(2).add([0.5, 1.0]).add([1, 2])
+            add_rows(CovarianceAccumulator(2), [0.5, 1.0], [1, 2])
         with pytest.raises(DimensionMismatch):
-            CovarianceAccumulator(2).add([1, 2]).merge(
-                CovarianceAccumulator(2).add([0.5, 1.0]))
+            add_rows(CovarianceAccumulator(2), [1, 2]).merge(
+                add_rows(CovarianceAccumulator(2), [0.5, 1.0]))
 
     def test_column_window(self, double_twist_91):
         """finalize(columns) equals the moments of those columns alone."""

@@ -530,7 +530,8 @@ class TestNonAlternating:
         steps = list(crossing_filtration(record_cloud(records), 3, 8,
                                          "nonalternating"))
         assert [s.label for s in steps] == ["8"]
-        assert steps[-1].cloud.row_ids == ("8_19",)
+        assert [steps[-1].source.row_ids[j] for j in steps[-1].rows] == \
+            ["8_19"]
 
 
 class TestDefaultWorkers:
