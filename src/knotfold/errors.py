@@ -93,6 +93,10 @@ class MomentOverflow(KnotfoldError):
     """Integer moments would leave the range in which they are exact."""
 
 
+class JonesIdentityFailure(KnotfoldError):
+    """Moments break an identity that every Jones polynomial satisfies."""
+
+
 # --- pipeline ---
 
 class Unreadable(KnotfoldError):

@@ -12,7 +12,12 @@ members (_torus_block, _double_twist_block), and the tests hold those to
 the row functions.  Its FamilyCloud keeps each member's parameters and
 degree span, not a matrix, and evaluates a block of rows whenever one is
 read, so a family's analysis never holds its N x width coefficients at
-once; a filtration step reads its rows from this one cloud.
+once; a filtration step reads its rows from this one cloud.  The
+moments of those rows need no row at all: after one fixed difference
+operator D, 1 - q^2 for torus rows and (1 + q)^2 for double twist rows,
+every row is sparse, and FamilyCloud.differences writes u = D x straight
+from the closed forms (4 entries per torus row, 13 per double twist row,
+some of them repeated), for pca.DifferenceMoments.
 
 The closed forms are checked against explicit diagrams from one builder,
 four_plat_diagram: the numerator closure of the rational tangle
@@ -288,6 +293,90 @@ def _double_twist_block(m, n):
     return block
 
 
+def _torus_differences(m, n):
+    """u = (1 - q^2) x of each member's torus_row x, as (entries, values,
+    peaks): u is the closed form's numerator, +1 at entry 0, -1 at m + 1
+    and at n + 1, +1 at m + n.
+
+    peaks bounds |x|: x takes the stride-2 prefix sums of u, and each
+    parity class sums a run of (+1, -1, -1, +1) in order (m + 1 and n + 1
+    share a class only when both are even, and then entry 0 is in it
+    too), so every entry of x is 0 or +-1.
+    """
+    import numpy as np
+
+    entries = np.stack([np.zeros_like(m), m + 1, n + 1, m + n], axis=1)
+    values = np.broadcast_to(np.array([1, -1, -1, 1]), entries.shape)
+    return entries, values, np.ones_like(m)
+
+
+def _double_twist_differences(m, n):
+    """u = (1 + q)^2 x of each member's double_twist_row x, as (entries,
+    values, peaks).
+
+    With k = min(m, n), c = m + n and e(i) = (-1)^i, x is e(c) times the
+    alternating ramp e(n + j) min(k, j, c - j) plus the corrections e(n)
+    at j = 0, e(m) at j = c and -1 at j = n (_double_twist_block).  One
+    factor 1 + q leaves the ramp's steps, +-1 on 1..k and on c-k+1..c, and
+    the second leaves their ends: e(n+1) at j = 1, -e(n+k+1) at k + 1,
+    -e(n+c-k+1) at c - k + 1 and e(n+c+1) at c + 1.  Each correction
+    becomes (1, 2, 1) times itself from its j on.  Every value is times
+    e(c).  peaks bounds |x| by k + 1: the ramp is at most k, and for
+    1 <= m, n the corrections fall on distinct entries.
+    """
+    import numpy as np
+
+    k, c = np.minimum(m, n), m + n
+    zero = np.zeros_like(m)
+    entries = np.stack([zero + 1, k + 1, c - k + 1, c + 1, zero, zero + 1,
+                        zero + 2, c, c + 1, c + 2, n, n + 1, n + 2], axis=1)
+    en, em = _sign(n), _sign(m)
+    values = np.stack([_sign(n + 1), -_sign(n + k + 1),
+                       -_sign(n + c - k + 1), _sign(n + c + 1),
+                       en, 2 * en, en, em, 2 * em, em,
+                       zero - 1, zero - 2, zero - 1], axis=1)
+    values *= _sign(c)[:, None]
+    return entries, values, k + 1
+
+
+def _sign(i):
+    """(-1)^i of an integer array."""
+    return 1 - 2 * (i & 1)
+
+
+def _undo_torus(a):
+    """Divide each column of a by 1 - q^2 in place: stride-2 prefix sums
+    down axis 0."""
+    import numpy as np
+
+    for parity in (0, 1):
+        np.cumsum(a[parity::2], axis=0, out=a[parity::2])
+
+
+def _undo_double_twist(a):
+    """Divide each column of a by (1 + q)^2 in place down axis 0.
+
+    1 / (1 + q) is the sum of (-q)^i, so the division negates the odd
+    entries, takes two prefix sums and negates the odd entries again.
+    """
+    import numpy as np
+
+    np.negative(a[1::2], out=a[1::2])
+    np.cumsum(a, axis=0, out=a)
+    np.cumsum(a, axis=0, out=a)
+    np.negative(a[1::2], out=a[1::2])
+
+
+# Each family's difference operator D = d0 + d1 q + d2 q^2, as its
+# coefficients (d0, d1, d2), the closed form of u = D x and the division
+# by D.  Reversed, each D is itself times d2 / d0.
+_DIFFERENCES = {
+    "torus": ((1, 0, -1), _torus_differences, _undo_torus),
+    "double_twist": ((1, 2, 1), _double_twist_differences,
+                     _undo_double_twist),
+}
+
+
 @dataclass(frozen=True, eq=False)
 class FamilyCloud(Cloud):
     """The cloud of a closed-form family, holding no matrix.
@@ -316,6 +405,38 @@ class FamilyCloud(Cloud):
                 self.flip[indices].tolist()):
             row[a:b] = entries[b - a - 1::-1] if flip else entries[:b - a]
         return out
+
+    def differences(self, indices):
+        """u = D x of the rows at the given indices, D the family's
+        difference operator, as (columns, values, peaks): row i of u is
+        values[i] summed into columns[i], up to width + 2 columns, and
+        peaks[i] bounds every |x| of row i.
+
+        Entry j of a member's u sits in column low + j, low..high being
+        the member's span in cloud columns.  Where the member is flipped,
+        it sits in column high + 2 - j, times d2 / d0.
+        """
+        import numpy as np
+
+        (d0, _, d2), closed_form, _ = _DIFFERENCES[self.kind]
+        entries, values, peaks = closed_form(self.m[indices],
+                                             self.n[indices])
+        lows, highs = (s[indices][:, None] - self.min_degree
+                       for s in self.spans)
+        flip = self.flip[indices][:, None]
+        columns = np.where(flip, highs + 2 - entries, lows + entries)
+        if d2 != d0:
+            values = np.where(flip, -values, values)
+        return columns, values, peaks
+
+    def moments(self):
+        """Empty exact moments of this cloud's rows, which differences()
+        feeds."""
+        from .pca import DifferenceMoments
+
+        coefficients, _, undo = _DIFFERENCES[self.kind]
+        return DifferenceMoments(self.width, undo,
+                                 sum(map(abs, coefficients)))
 
 
 _BLOCKS = {"torus": _torus_block, "double_twist": _double_twist_block}

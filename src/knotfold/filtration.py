@@ -7,7 +7,10 @@ families.family_cloud's, which holds no matrix) and the degree window
 those rows span, read off the cloud's spans.  It has no cloud of its
 own; its rows are read through the cloud's rows(indices), a block at a
 time.  Each step gets its own PCA, from exact integer moments that run
-over the steps: a step folds in only the rows it adds.  The diagnostics
+over the steps: a step folds in only the rows it adds.  A family cloud's
+rows enter in their sparse difference form, so no family row is read
+for the moments, and each family step's moments must keep five Jones
+identities exactly (_check_identities).  The diagnostics
 compare steps: explained-variance trajectories, principal angles
 between consecutive steps, relative spreads, and norm histograms.
 """
@@ -19,9 +22,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cloud import Cloud, align
-from .errors import EmptyFamily, Unsupported, WindowOverflow
-from .pca import CovarianceAccumulator, dimension_estimate, sym_eig
+from .cloud import NORM_BLOCK_ROWS, Cloud, align
+from .errors import (EmptyFamily, InexactDivision, JonesIdentityFailure,
+                     Unsupported, WindowOverflow)
+from .families import FamilyCloud
+from .pca import (CovarianceAccumulator, centered_numerator,
+                  dimension_estimate, sym_eig)
 
 TRACKED_COMPONENTS = 6
 PROJECTION_COMPONENTS = 3
@@ -171,14 +177,17 @@ def eigensystem_trajectory(steps, variance_threshold=0.95):
     those steps, or None.
 
     One accumulator runs over the steps, in their source's columns.  Each
-    step folds in only the rows it adds to the step before, so every row is
-    multiplied once, and its K is the running moments cut to its degree
-    window.  That is exact: the moments are integer sums, and every row is
-    zero outside its step's window.  A step with another source, or that
-    drops a row of the step before, starts the sums again.  The moments are
-    freed before the last eigensolve.  Earlier spectra keep
-    TRACKED_COMPONENTS eigenvector columns, all the angles read; the last
-    keeps every column, for the projection.
+    step folds in only the rows it adds to the step before, so every row
+    enters once, and its K is the running moments cut to its degree window.
+    That is exact: the moments are integer sums, and every row is zero
+    outside its step's window.  A family cloud's rows enter in their sparse
+    difference form (FamilyCloud.differences), with no row product, and
+    each of its steps is checked (_family_covariance); a dataset cloud's
+    rows enter in dense blocks.  A step with another source, or that drops
+    a row of the step before, starts the sums again.  The moments are freed
+    before the last eigensolve.  Earlier spectra keep TRACKED_COMPONENTS
+    eigenvector columns, all the angles read; the last keeps every column,
+    for the projection.
     """
     spectra, acc, held, last = [], None, None, None
     usable = (s for s in steps if len(s.rows) >= 2)
@@ -186,16 +195,24 @@ def eigensystem_trajectory(steps, variance_threshold=0.95):
     while following is not None:
         step, following = following, next(usable, None)
         source, rows = step.source, step.rows
+        family = isinstance(source, FamilyCloud)
         if (acc is None or last.source is not source
                 or np.count_nonzero(held[rows]) != acc.count):
-            acc = CovarianceAccumulator(source.width)
+            acc = (source.moments() if family
+                   else CovarianceAccumulator(source.width))
             held = np.zeros(len(source.row_ids), dtype=bool)
-        for block in source.row_blocks(rows[~held[rows]], acc.block_rows):
-            acc.add_block(block)
+        added = rows[~held[rows]]
+        if family:
+            for i in range(0, len(added), NORM_BLOCK_ROWS):
+                acc.add(*source.differences(added[i:i + NORM_BLOCK_ROWS]))
+        else:
+            for block in source.row_blocks(added, acc.block_rows):
+                acc.add_block(block)
         held[rows] = True
         lo, hi = step.degrees
         columns = slice(lo - source.min_degree, hi - source.min_degree + 1)
-        k, mean = acc.finalize(columns), acc.mean[columns]
+        k, mean = (_family_covariance(acc, columns, step) if family
+                   else (acc.finalize(columns), acc.mean[columns]))
         if following is None:  # the moments go before the last eigensolve
             acc = held = None
         if spectra:
@@ -204,6 +221,56 @@ def eigensystem_trajectory(steps, variance_threshold=0.95):
         del k
         last = step
     return spectra, last
+
+
+def _family_covariance(acc, columns, step):
+    """K and the mean of the step's window from a family's difference
+    moments, checked.  Their int64 N S - s s^T, which runs past the window
+    (DifferenceMoments.window), must keep the Jones identities
+    (_check_identities), and be zero past the window, or InexactDivision
+    names the step.  K is written over it, so a step holds one square
+    temporary besides the moments; numpy copies each overlapping block it
+    divides."""
+    k, total = centered_numerator(acc, columns)
+    _check_identities(k, step)
+    width = columns.stop - columns.start
+    if k[width:].any() or total[width:].any():
+        raise InexactDivision(f"step {step.label}: the moments are not "
+                              "divisible by the difference operator")
+    n = acc.count
+    covariance = k.view(np.float64)  # K takes the numerator's place, a
+    for i in range(0, len(k), NORM_BLOCK_ROWS):  # block of rows at a time
+        np.divide(k[i:i + NORM_BLOCK_ROWS], n * (n - 1),
+                  out=covariance[i:i + NORM_BLOCK_ROWS])
+    return covariance[:width, :width], total[:width] / n
+
+
+def _check_identities(numerator, step):
+    """Raise JonesIdentityFailure, naming the identity and the step, unless
+    the int64 N S - s s^T of columns from the step's lowest degree on
+    sends each of five integer vectors exactly to zero.
+
+    Every Jones row x of a knot, in degrees deg from lo on, has V(1) = 1,
+    V'(1) = 0, V(w) = 1 with w = e^(2 pi i / 3), and Im V(i) = 0, so x.v is
+    one constant over all rows for v = 1, deg - lo, 2 cos(2 pi deg / 3),
+    the sign of sin(2 pi deg / 3), and sin(pi deg / 2).  Each such v is a
+    null vector of N S - s s^T.  The int64 products may wrap, but a true
+    zero stays zero.
+    """
+    offset = np.arange(len(numerator))  # deg - lo
+    deg = offset + step.degrees[0]
+    identities = {
+        "V(1) = 1": np.ones_like(deg),
+        "V'(1) = 0": offset,
+        "Re V(w) = 1": np.where(deg % 3, -1, 2),
+        "Im V(w) = 0": np.array([0, 1, -1])[deg % 3],
+        "Im V(i) = 0": np.array([0, 1, 0, -1])[deg % 4],
+    }
+    products = numerator @ np.stack(list(identities.values()), axis=1)
+    for name, column in zip(identities, products.T):
+        if column.any():
+            raise JonesIdentityFailure(
+                f"step {step.label}: the moments break {name}")
 
 
 def embed_direction(vec, src_window, dst_window):

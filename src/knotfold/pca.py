@@ -10,11 +10,16 @@ bits for any block size, merge order or BLAS thread count, and a bound
 that fails raises MomentOverflow instead of rounding.  Rows come in
 blocks (add_block): a filtration step, rows plus a degree window with
 no cloud of its own, adds the blocks its source cloud reads for it and
-takes K of its window's columns (finalize(columns)).  Float rows keep
-centered moments.  Their product, the eigensolve and the projection run
-on one BLAS thread, so results do not depend on the thread count.  The
-projection centers and multiplies one block of rows at a time.  Inputs
-are never modified.
+takes K of its window's columns (finalize(columns)).  Rows that are
+sparse after a fixed difference operator D, as the closed-form families'
+are, come as u = D x instead (DifferenceMoments): U = sum u u^T is summed
+in int64 by scatter-adds, with no row product, and S = D^-1 U D^-T of a
+window comes from integer prefix passes; centered_numerator forms K's
+numerator from either kind of moments.  Float rows keep centered
+moments.  Their product, the eigensolve and the projection run on one
+BLAS thread, so results do not depend on the thread count.  The
+projection centers and multiplies one block of rows of a cloud at a
+time.  Inputs are never modified.
 Everything downstream (explained variances, cumulative shares, dimension
 estimation, projection) consumes the resulting eigensystem.
 """
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import NORM_BLOCK_ROWS, Cloud, matrix_rows
+from .cloud import NORM_BLOCK_ROWS
 from .errors import (DimensionMismatch, InsufficientData, MomentOverflow,
                      NotSymmetric)
 
@@ -153,11 +158,9 @@ class CovarianceAccumulator:
         """Sample covariance of the given columns (a slice; all of them by
         default).
 
-        Integer rows: K = (N S - s s^T) / (N (N - 1)), the numerator formed in
-        int64, where every intermediate is at most N * bound in magnitude
-        (Cauchy-Schwarz bounds |s_i s_j| and |N S_ij - s_i s_j| by it), so it
-        is exact and K is exactly symmetric.  Float rows: (K + K^T) / 2 of
-        K = M2 / (n - 1).
+        Integer rows: K = (N S - s s^T) / (N (N - 1)), the numerator exact
+        in int64 (centered_numerator), so K is exactly symmetric.  Float
+        rows: (K + K^T) / 2 of K = M2 / (n - 1).
         """
         n = self.count
         if n < 2:
@@ -168,16 +171,86 @@ class CovarianceAccumulator:
             k += k.T  # numpy buffers the overlapping k.T: (k + k.T) bit for bit
             k /= 2.0
             return k
-        if n * self.bound >= INT64_LIMIT:
+        return centered_numerator(self, columns)[0] / (n * (n - 1))
+
+    def window(self, columns):
+        """The exact int64 S and s of the given columns (a slice), S as a
+        fresh array."""
+        return self.raw[columns, columns].astype(np.int64), \
+            self.total[columns]
+
+
+class DifferenceMoments:
+    """Exact moments of integer rows given in a difference form.
+
+    Each row x comes as u = D x, D a fixed polynomial d0 + d1 q + d2 q^2 in
+    the column shift, which is sparse where x is dense.  The count N, the
+    int64 sums U = sum u u^T and sum u are kept dim + 2 columns wide, as u
+    runs two columns past x, and S = D^-1 U D^-T and s = D^-1 sum u of a
+    window come from undo, D^-1 as an in-place integer prefix pass down
+    the columns of an array.  ``bound`` is the sum of each row's max |x|
+    squared, so it bounds every |S_ij| as CovarianceAccumulator's does,
+    and spread^2 * bound, spread = |d0| + |d1| + |d2|, bounds every
+    intermediate of U and of the passes.
+    """
+
+    def __init__(self, dim, undo, spread):
+        self.dim, self.undo, self.spread = dim, undo, spread
+        self.count = self.bound = 0
+        self.raw = np.zeros((dim + 2, dim + 2), dtype=np.int64)
+        self.total = np.zeros(dim + 2, dtype=np.int64)
+
+    def add(self, columns, values, peaks):
+        """Fold in rows given as u: row i has values[i] summed into
+        columns[i] (repeats add up), and peaks[i] bounds its |x|.
+        MomentOverflow is raised, with nothing folded in, when the sums
+        could leave int64."""
+        bound = self.bound + sum(p * p for p in peaks.tolist())
+        if self.spread ** 2 * bound >= INT64_LIMIT:
             raise MomentOverflow(
-                f"N S of {n} rows overflows int64 (|S_ij| up to {self.bound})")
-        total = self.total[columns]
-        k = self.raw[columns, columns].astype(np.int64)
-        k *= n
-        for i in range(0, len(k), NORM_BLOCK_ROWS):
-            k[i:i + NORM_BLOCK_ROWS] -= np.multiply.outer(
-                total[i:i + NORM_BLOCK_ROWS], total)
-        return k / (n * (n - 1))
+                f"{self.count + len(peaks)} rows with max |x| up to "
+                f"{int(peaks.max())}: their difference moments overflow int64")
+        width = self.dim + 2
+        np.add.at(self.raw.reshape(-1),
+                  (columns[:, :, None] * width + columns[:, None, :]).ravel(),
+                  (values[:, :, None] * values[:, None, :]).ravel())
+        np.add.at(self.total, columns.ravel(), values.ravel())
+        self.count += len(peaks)
+        self.bound = bound
+        return self
+
+    def window(self, columns):
+        """The exact int64 S and s of the given columns (a slice) and of
+        the two columns past them, S as a fresh array.  Every row must be
+        zero outside the given columns, and then the two past them come
+        out zero."""
+        start, stop, _ = columns.indices(self.dim)
+        part = slice(start, stop + 2)
+        raw, total = self.raw[part, part].copy(), self.total[part].copy()
+        self.undo(raw)
+        self.undo(raw.T)
+        self.undo(total)
+        return raw, total
+
+
+def centered_numerator(acc, columns):
+    """(N S - s s^T, s) of the given columns (a slice) of an integer
+    accumulator's rows, in int64.
+
+    Every intermediate is at most N * bound in magnitude (Cauchy-Schwarz
+    bounds |s_i s_j| and |N S_ij - s_i s_j| by it), so it is exact and
+    exactly symmetric; MomentOverflow is raised when that bound reaches
+    2^63."""
+    n = acc.count
+    if n * acc.bound >= INT64_LIMIT:
+        raise MomentOverflow(
+            f"N S of {n} rows overflows int64 (|S_ij| up to {acc.bound})")
+    k, total = acc.window(columns)
+    k *= n
+    for i in range(0, len(k), NORM_BLOCK_ROWS):
+        k[i:i + NORM_BLOCK_ROWS] -= np.multiply.outer(
+            total[i:i + NORM_BLOCK_ROWS], total)
+    return k, total
 
 
 @dataclass(frozen=True)
@@ -275,31 +348,24 @@ def dimension_estimate(normalized, threshold=0.95):
     return int(reached[0]) + 1 if len(reached) else len(normalized)
 
 
-def project(source, mean, es, k, rows=None, columns=slice(None)):
+def project(cloud, mean, es, k, rows=None, columns=slice(None)):
     """Express centered rows in the first k principal directions: the given
-    columns (a slice; all of them by default) of every row of the source,
-    or of the given ascending row indices.  The source is a matrix, or a
-    cloud, whose rows are read through its rows(indices).
+    columns (a slice; all of them by default) of every row of the cloud,
+    or of the given ascending row indices, read through its rows(indices).
 
     NORM_BLOCK_ROWS rows at a time are read, centered in a private float
     copy and multiplied, so the input is left as it is and no float copy
     of the whole matrix is made."""
-    if isinstance(source, Cloud):
-        read, count, width = source.rows, len(source.row_ids), source.width
-    else:
-        source = np.asarray(source)
-        read, (count, width) = functools.partial(matrix_rows, source), \
-            source.shape
-    if k > es.dim or len(range(width)[columns]) != es.dim:
+    if k > es.dim or len(range(cloud.width)[columns]) != es.dim:
         raise DimensionMismatch(
-            f"cannot project {width} columns, cut to {columns}, onto {k} of "
-            f"{es.dim} axes")
+            f"cannot project {cloud.width} columns, cut to {columns}, onto "
+            f"{k} of {es.dim} axes")
     if rows is None:
-        rows = np.arange(count)
+        rows = np.arange(len(cloud.row_ids))
     axes = es.eigenvectors[:, :k]
     out = np.empty((len(rows), k))
     with _one_blas_thread():
         for i in range(0, len(rows), NORM_BLOCK_ROWS):
-            block = read(rows[i:i + NORM_BLOCK_ROWS])[:, columns]
+            block = cloud.rows(rows[i:i + NORM_BLOCK_ROWS])[:, columns]
             np.matmul(block - mean, axes, out=out[i:i + NORM_BLOCK_ROWS])
     return out

@@ -5,7 +5,9 @@ by its sweep alone, has no polynomial division or skein check, builds
 family clouds without a polynomial or record per member, sets row spans
 when a cloud is built instead of scanning its rows, never cuts a
 filtration step into a cloud of its own, and feeds the accumulator whole
-blocks, not single rows.
+blocks, not single rows.  Family moments on the production path come
+from the rows' difference form; the dense product of the rows
+(family_spectrum) is their oracle.
 """
 
 import numpy as np
@@ -150,6 +152,23 @@ def dense(cloud):
     """Every row of a cloud, read through its rows() at once: the N x width
     matrix that a family cloud never holds."""
     return cloud.rows(np.arange(len(cloud.row_ids)))
+
+
+def matrix_cloud(matrix):
+    """A dataset cloud of an integer matrix's rows, in order, each spanning
+    every column from degree 0."""
+    return align([(f"r{i:06d}", 0, r.tolist(), None, None, None)
+                  for i, r in enumerate(np.asarray(matrix))])
+
+
+def family_spectrum(cloud):
+    """The PCA of a whole cloud from the dense product of its rows, folded
+    in one block at a time."""
+    acc = CovarianceAccumulator(cloud.width)
+    for block in cloud.row_blocks(np.arange(len(cloud.row_ids)),
+                                  acc.block_rows):
+        acc.add_block(block)
+    return sym_eig(acc.finalize())
 
 
 def row_spans(cloud):

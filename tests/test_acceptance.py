@@ -68,13 +68,14 @@ def criterion(n):
     return deco
 
 
-def family_spectrum(cloud):
-    """The PCA of a whole cloud, its rows folded in one block at a time."""
-    acc = CovarianceAccumulator(cloud.width)
-    for block in cloud.row_blocks(np.arange(len(cloud.row_ids)),
-                                  acc.block_rows):
-        acc.add_block(block)
-    return sym_eig(acc.finalize())
+def production_spectrum(cloud, limit):
+    """The PCA of a whole family cloud on the production path: the one
+    crossing step k = limit of eigensystem_trajectory, which holds every
+    row."""
+    spectra, _ = eigensystem_trajectory(crossing_filtration(cloud, limit,
+                                                            limit))
+    assert [s.count for s in spectra] == [len(cloud.row_ids)]
+    return spectra[0].eigensystem
 
 
 def checked_family_cloud(kind, limit):
@@ -154,7 +155,7 @@ def test_criterion_5_torus_reproduction():
     t0 = time.time()
     cloud = checked_family_cloud("torus", 2000)
     assert len(cloud.row_ids) == 4501
-    es = family_spectrum(cloud)
+    es = production_spectrum(cloud, 2000)
     assert cloud.width == 2998
     assert es.cumulative[24] > 0.95  # S_25; S_24 deliberately not asserted
     assert time.time() - t0 < 1800.0
@@ -164,14 +165,14 @@ def test_criterion_5_torus_reproduction():
 
 @criterion(6)
 def test_criterion_6_double_twist_reduced():
-    es = family_spectrum(checked_family_cloud("double_twist", 301))
+    es = production_spectrum(checked_family_cloud("double_twist", 301), 301)
     s3, s4 = float(es.cumulative[2]), float(es.cumulative[3])
     assert s4 >= s3
     # heavy head: the first handful of components carry most variance
     assert s4 > 0.9
     assert es.normalized[0] == es.normalized.max()
     if FULL_DOUBLE_TWIST:
-        es = family_spectrum(family_cloud("double_twist", 2001)[1])
+        es = production_spectrum(family_cloud("double_twist", 2001)[1], 2001)
         assert float(es.cumulative[3]) > 0.969 - 0.01
         assert abs(float(es.cumulative[2]) - 0.948) <= 0.01
     del es

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -332,6 +333,37 @@ class TestFamilyCloud:
                                .int_coeffs()[1] if c], rid
             assert row[-cloud.min_degree - 2 * k] and \
                 row[-cloud.min_degree + 2 * k], rid
+
+    @pytest.mark.parametrize("kind, limit, operator", [
+        ("torus", 300, (1, 0, -1)), ("double_twist", 151, (1, 2, 1))])
+    def test_differences(self, kind, limit, operator):
+        """differences() is D times each member's row from torus_row or
+        double_twist_row, reversed where the member is flipped, and its
+        peaks bound the row.  Tied members are included; no torus member
+        is flipped, so the cloud is also checked with every flip turned
+        over."""
+        _, cloud = family_cloud(kind, limit)
+        lows, highs = cloud.spans
+        assert cloud.flip.any() == (kind == "double_twist")
+        assert (np.abs(lows) == np.abs(highs)).any() == \
+            (kind == "double_twist")
+        mirrored = replace(cloud, min_degree=-cloud.max_degree,
+                           spans=(-highs, -lows), flip=~cloud.flip)
+        row_of = {"torus": torus_row, "double_twist": double_twist_row}[kind]
+        for c in (cloud, mirrored):
+            columns, values, peaks = c.differences(np.arange(len(c.row_ids)))
+            for i, (m, n, flip) in enumerate(zip(
+                    c.m.tolist(), c.n.tolist(), c.flip.tolist())):
+                lo4, coeffs = row_of(m, n)
+                assert (-c.spans[1][i] if flip else c.spans[0][i]) == lo4 // 4
+                x = np.array(coeffs[::-1] if flip else coeffs)
+                start = c.spans[0][i] - c.min_degree
+                want = np.zeros(c.width + 2, dtype=np.int64)
+                want[start:start + len(x) + 2] = np.convolve(x, operator)
+                got = np.zeros(c.width + 2, dtype=np.int64)
+                np.add.at(got, columns[i], values[i])
+                assert np.array_equal(got, want), (c.row_ids[i], flip)
+                assert np.abs(x).max() <= peaks[i], c.row_ids[i]
 
     def test_members_and_bad_inputs(self):
         assert family_members("torus", 7) == ("torus-7", [

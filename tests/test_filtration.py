@@ -5,8 +5,9 @@ import pytest
 
 from knotfold import filtration
 from knotfold.cloud import KnotRecord, align
-from knotfold.errors import EmptyFamily, Unsupported, WindowOverflow
-from knotfold.families import (family_cloud, jones_torus,
+from knotfold.errors import (EmptyFamily, JonesIdentityFailure,
+                             MomentOverflow, Unsupported, WindowOverflow)
+from knotfold.families import (FamilyCloud, family_cloud, jones_torus,
                                torus_crossing_number)
 from knotfold.filtration import (
     CLASS_FILTERS,
@@ -23,7 +24,8 @@ from knotfold.filtration import (
     spread_table,
 )
 from knotfold.laurent import LaurentPolynomial
-from knotfold.pca import CovarianceAccumulator
+from knotfold.pca import (CovarianceAccumulator, DifferenceMoments,
+                          centered_numerator)
 from knotfold.pipeline import (InvariantCache, compute_batch, generate_family,
                                ingest)
 
@@ -391,18 +393,125 @@ class TestRunningSums:
         assert_running_sums_match_oracle([steps[1], other[2], steps[2]])
 
     def test_each_row_enters_once(self, monkeypatch):
+        """Each family member's difference row u is folded in once."""
         counted = []
-        add_block = CovarianceAccumulator.add_block
+        add = DifferenceMoments.add
 
-        def counting(self, rows):
-            counted.append(len(rows))
-            return add_block(self, rows)
+        def counting(self, columns, values, peaks):
+            counted.append(len(peaks))
+            return add(self, columns, values, peaks)
 
-        monkeypatch.setattr(CovarianceAccumulator, "add_block", counting)
+        monkeypatch.setattr(DifferenceMoments, "add", counting)
         _, cloud = family_cloud("double_twist", 40)
         specs, top = eigensystem_trajectory(crossing_filtration(cloud, 10, 40))
         assert len(specs) == 31
         assert sum(counted) == len(top.rows) == len(cloud.row_ids)
+
+
+def captured_covariances(monkeypatch):
+    """The K of each step that eigensystem_trajectory solves, as bytes, in
+    order."""
+    seen, solve = [], filtration.sym_eig
+
+    def capture(k):
+        seen.append(k.tobytes())
+        return solve(k)
+
+    monkeypatch.setattr(filtration, "sym_eig", capture)
+    return seen
+
+
+def window(step):
+    """The columns of a step's degree window in its source."""
+    lo, hi = step.degrees
+    return slice(lo - step.source.min_degree, hi - step.source.min_degree + 1)
+
+
+class TestDifferenceMoments:
+    """A family's steps take S, s and K from the sparse difference form of
+    their rows: the bits of the dense product of those rows."""
+
+    @pytest.mark.parametrize("kind, limit, k_min", [
+        ("torus", 300, 250), ("double_twist", 151, 140)])
+    def test_every_step_matches_the_dense_product(self, monkeypatch, kind,
+                                                  limit, k_min):
+        _, cloud = family_cloud(kind, limit)
+        steps = list(crossing_filtration(cloud, k_min, limit))
+        solved = captured_covariances(monkeypatch)
+        specs, _ = eigensystem_trajectory(steps)
+        assert len(specs) == len(steps) == limit - k_min + 1
+        acc = cloud.moments()
+        product = CovarianceAccumulator(cloud.width)
+        held = np.zeros(len(cloud.row_ids), dtype=bool)
+        for step, spec, k in zip(steps, specs, solved):
+            added = step.rows[~held[step.rows]]
+            held[step.rows] = True
+            acc.add(*cloud.differences(added))
+            product.add_block(cloud.rows(added))
+            columns = window(step)
+            width = columns.stop - columns.start
+            s_diff, total_diff = acc.window(columns)
+            s_prod, total_prod = product.window(columns)
+            assert not s_diff[width:].any() and not s_diff[:, width:].any()
+            assert not total_diff[width:].any()
+            assert s_diff[:width, :width].tobytes() == s_prod.tobytes()
+            assert total_diff[:width].tobytes() == total_prod.tobytes()
+            assert k == product.finalize(columns).tobytes(), step.label
+            assert spec.mean.tobytes() == \
+                product.mean[columns].tobytes(), step.label
+
+    def test_unnested_steps_restart(self, monkeypatch):
+        """A step that drops rows of the step before starts new sums, and
+        each K is still that of its rows alone."""
+        _, cloud = family_cloud("double_twist", 40)
+        steps = list(crossing_filtration(cloud, 10, 40))
+        made, moments = [], FamilyCloud.moments
+        monkeypatch.setattr(FamilyCloud, "moments",
+                            lambda self: made.append(1) or moments(self))
+        solved = captured_covariances(monkeypatch)
+        order = [steps[20], steps[5], steps[6], steps[30]]
+        eigensystem_trajectory(order)
+        assert len(made) == 2
+        for step, k in zip(order, solved):
+            alone = CovarianceAccumulator(cloud.width).add_block(
+                cloud.rows(step.rows))
+            assert k == alone.finalize(window(step)).tobytes(), step.label
+
+    def test_one_wrong_entry_breaks_an_identity(self, monkeypatch):
+        """One wrong entry of one member's u is caught at the first step
+        that holds it, by an identity the error names."""
+        _, cloud = family_cloud("double_twist", 40)
+        wrong = cloud.row_ids.index("C(3,8)")
+        differences = FamilyCloud.differences
+
+        def corrupted(self, indices):
+            columns, values, peaks = differences(self, indices)
+            values = values.copy()
+            values[indices == wrong, 4] += 1
+            return columns, values, peaks
+
+        monkeypatch.setattr(FamilyCloud, "differences", corrupted)
+        with pytest.raises(JonesIdentityFailure,
+                           match=r"^step 11: the moments break V\(1\) = 1$"):
+            eigensystem_trajectory(crossing_filtration(cloud, 10, 40))
+
+    def test_bounds(self):
+        """Sums that could leave int64 raise MomentOverflow: U and the
+        prefix passes (spread^2 times the sum of max |x|^2) when rows are
+        added, with nothing folded in, and N S when K is formed."""
+        for kind, spread in (("torus", 2), ("double_twist", 4)):
+            acc = family_cloud(kind, 30)[1].moments()
+            one = np.zeros((1, 1), dtype=np.int64), np.ones((1, 1), int)
+            with pytest.raises(MomentOverflow):
+                acc.add(*one, np.array([2 ** 32 // spread]))
+            assert acc.count == 0 and not acc.raw.any()
+            acc.add(*one, np.array([2 ** 31 // spread - 1]))
+            assert acc.count == 1
+        acc = family_cloud("torus", 30)[1].moments()
+        for _ in range(16):
+            acc.add(*one, np.array([2 ** 28]))
+        with pytest.raises(MomentOverflow):
+            centered_numerator(acc, slice(None))
 
 
 class TestEmbedDirection:

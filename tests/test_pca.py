@@ -22,7 +22,7 @@ from knotfold.pca import (
 )
 
 from conftest import traced_peak
-from oracles import add_rows, dense
+from oracles import add_rows, dense, matrix_cloud
 
 
 def random_symmetric(n, seed):
@@ -246,11 +246,14 @@ class TestScaleEquivariance:
 
 
 class TestProjection:
+    """project reads a cloud's rows; these clouds are align'ed integer
+    matrices."""
+
     def test_distances_preserved_full_rank(self):
-        x = np.random.default_rng(11).standard_normal((25, 6))
+        x = np.random.default_rng(11).integers(-50, 50, (25, 6))
         acc = CovarianceAccumulator(6).add_block(x)
         es = sym_eig(acc.finalize())
-        y = project(x, acc.mean, es, 6)
+        y = project(matrix_cloud(x), acc.mean, es, 6)
         centered = x - acc.mean
         for i in (0, 5, 11):
             for j in (3, 17):
@@ -259,10 +262,16 @@ class TestProjection:
                 assert abs(d1 - d2) <= 1e-8
 
     def test_mean_maps_to_origin(self):
-        x = np.random.default_rng(12).standard_normal((10, 4))
-        acc = CovarianceAccumulator(4).add_block(x)
+        """Rows and their reflections through an integer point have that
+        point for their mean."""
+        rng = np.random.default_rng(12)
+        point = rng.integers(-9, 9, 4)
+        x = rng.integers(-50, 50, (5, 4))
+        acc = CovarianceAccumulator(4).add_block(np.vstack([x, 2 * point - x]))
         es = sym_eig(acc.finalize())
-        assert np.allclose(project(acc.mean[None, :], acc.mean, es, 4), 0)
+        assert np.array_equal(acc.mean, point)
+        assert np.allclose(project(matrix_cloud(point[None, :]), acc.mean,
+                                   es, 4), 0)
 
     def test_rows(self, double_twist_91):
         """Projecting some rows gives the bits of projecting their own
@@ -271,8 +280,9 @@ class TestProjection:
         acc = CovarianceAccumulator(m.shape[1]).add_block(m)
         es = sym_eig(acc.finalize())
         rows = np.r_[0:300, 301:900:3, 1000:1541]
-        got = project(m, acc.mean, es, 3, rows)
-        assert got.tobytes() == project(m[rows], acc.mean, es, 3).tobytes()
+        got = project(matrix_cloud(m), acc.mean, es, 3, rows)
+        want = project(matrix_cloud(m[rows]), acc.mean, es, 3)
+        assert got.tobytes() == want.tobytes()
 
     def test_cloud_columns(self, double_twist_91):
         """A family cloud projects, through its rows(), with the bits of its
@@ -281,24 +291,26 @@ class TestProjection:
         acc = CovarianceAccumulator(40).add_block(m[:, 30:70])
         es = sym_eig(acc.finalize())
         rows = np.r_[0:300, 301:900:3, 1000:1541]
-        want = project(m[:, 30:70], acc.mean, es, 3, rows).tobytes()
-        for source in (m, double_twist_91):
+        want = project(matrix_cloud(m[:, 30:70]), acc.mean, es, 3,
+                       rows).tobytes()
+        for source in (matrix_cloud(m), double_twist_91):
             got = project(source, acc.mean, es, 3, rows, slice(30, 70))
             assert got.tobytes() == want
         with pytest.raises(DimensionMismatch):
             project(double_twist_91, acc.mean, es, 3, rows, slice(30, 71))
 
     def test_k_too_large(self):
-        x = np.random.default_rng(13).standard_normal((10, 4))
+        x = np.random.default_rng(13).integers(-50, 50, (10, 4))
         acc = CovarianceAccumulator(4).add_block(x)
         es = sym_eig(acc.finalize())
         with pytest.raises(DimensionMismatch):
-            project(x, acc.mean, es, 5)
+            project(matrix_cloud(x), acc.mean, es, 5)
 
 
 class TestInputsUnchanged:
     """The PCA core centers and symmetrizes private copies: a float64
-    input array comes back with the same bits."""
+    input array, and the matrix of a projected cloud, come back with the
+    same bits."""
 
     def test_add_block_finalize_sym_eig_project(self):
         x = np.random.default_rng(14).standard_normal((30, 5))
@@ -315,7 +327,10 @@ class TestInputsUnchanged:
             es = sym_eig(m)
             assert np.array_equal(m, m_before)
         mean_before = acc.mean.copy()
-        project(x, acc.mean, es, 3)
+        cloud = matrix_cloud(np.rint(x * 100).astype(np.int64))
+        matrix_before = cloud.matrix.copy()
+        project(cloud, acc.mean, es, 3)
+        assert np.array_equal(cloud.matrix, matrix_before)
         assert np.array_equal(x, x_before)
         assert np.array_equal(acc.mean, mean_before)
 
@@ -446,5 +461,6 @@ class TestMemory:
         acc = CovarianceAccumulator(m.shape[1]).add_block(m)
         es = sym_eig(acc.finalize())
         block = NORM_BLOCK_ROWS * m.shape[1] * 8
-        _, peak = traced_peak(lambda: project(m, acc.mean, es, 3))
+        cloud = matrix_cloud(m)
+        _, peak = traced_peak(lambda: project(cloud, acc.mean, es, 3))
         assert peak < 1.5 * block + len(m) * 3 * 8

@@ -689,8 +689,9 @@ class TestRunAnalysis:
         AnalysisConfig(k_min=80, k_max=91),
         AnalysisConfig(filtration="norm", levels=3)])
     def test_family_rows_read_in_blocks(self, tmp_path, monkeypatch, config):
-        """A family run reads its rows in blocks of at most
-        max(NORM_BLOCK_ROWS, width), never all at once."""
+        """A family run reads its rows for the projection only, each once,
+        in blocks of at most max(NORM_BLOCK_ROWS, width), never all at
+        once: its moments come from the rows' difference form."""
         _, cloud = family_cloud("double_twist", 91)
         sizes = []
         rows = FamilyCloud.rows
@@ -701,7 +702,7 @@ class TestRunAnalysis:
 
         monkeypatch.setattr(FamilyCloud, "rows", counted)
         run_analysis(cloud, config, str(tmp_path / "rep"))
-        assert sum(sizes) >= 2 * len(cloud.row_ids)  # moments + projection
+        assert sum(sizes) == len(cloud.row_ids)  # the top step's projection
         assert max(sizes) <= max(NORM_BLOCK_ROWS, cloud.width)
 
     def test_no_steps_raises(self, tmp_path):
