@@ -30,8 +30,8 @@ from knotfold.pipeline import (InvariantCache, compute_batch, generate_family,
                                ingest)
 
 from conftest import FIXTURE_FILE, TABLE_CROSSINGS, TABLE_POLYS
-from oracles import (assert_same_cloud, row, step_cloud, step_spectrum,
-                     whole_step)
+from oracles import (assert_same_cloud, family_spectrum, row, step_cloud,
+                     step_spectrum, whole_step)
 
 
 def fixture_records():
@@ -429,7 +429,8 @@ def window(step):
 
 class TestDifferenceMoments:
     """A family's steps take S, s and K from the sparse difference form of
-    their rows: the bits of the dense product of those rows."""
+    their rows: the bits of the dense product of those rows, and the top
+    step, which holds every row, the spectrum of family_spectrum."""
 
     @pytest.mark.parametrize("kind, limit, k_min", [
         ("torus", 300, 250), ("double_twist", 151, 140)])
@@ -459,6 +460,9 @@ class TestDifferenceMoments:
             assert k == product.finalize(columns).tobytes(), step.label
             assert spec.mean.tobytes() == \
                 product.mean[columns].tobytes(), step.label
+        assert len(step.rows) == len(cloud.row_ids)
+        assert spec.eigensystem.eigenvalues.tobytes() == \
+            family_spectrum(cloud).eigenvalues.tobytes()
 
     def test_unnested_steps_restart(self, monkeypatch):
         """A step that drops rows of the step before starts new sums, and
