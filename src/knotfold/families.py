@@ -7,17 +7,18 @@ Each formula lives in one row function (torus_row, double_twist_row) that
 returns a member's dense coefficient list at O(m + n) integer operations;
 jones_torus and jones_double_twist wrap those lists as polynomials for the
 records that `generate` caches.  family_cloud, whose cloud is what an
-analysis runs on, evaluates the same formulas vectorized over blocks of
-members (_torus_block, _double_twist_block), and the tests hold those to
-the row functions.  Its FamilyCloud keeps each member's parameters and
-degree span, not a matrix, and evaluates a block of rows whenever one is
-read, so a family's analysis never holds its N x width coefficients at
-once; a filtration step reads its rows from this one cloud.  The
-moments of those rows need no row at all: after one fixed difference
-operator D, 1 - q^2 for torus rows and (1 + q)^2 for double twist rows,
-every row is sparse, and FamilyCloud.differences writes u = D x straight
-from the closed forms (4 entries per torus row, 13 per double twist row,
-some of them repeated), for pca.DifferenceMoments.
+analysis runs on, evaluates one other closed form per family, vectorized
+over members, and the tests hold it to the row functions: after one fixed
+difference operator D, 1 - q^2 for torus rows and (1 + q)^2 for double
+twist rows, every row x is sparse, and FamilyCloud.differences writes
+u = D x straight from (m, n) (4 entries per torus row, 13 per double
+twist row, some of them repeated).  The moments of the rows
+(pca.DifferenceMoments) are summed from u, and the rows a reader asks for
+(FamilyCloud.rows) are rebuilt from u by integer prefix sums.  The norms
+need no row either: ||x||^2 has an exact closed form in (m, n).  So a
+FamilyCloud keeps each member's parameters and degree span, not a
+matrix, and a family's analysis never holds its N x width coefficients at
+once; a filtration step reads its rows from this one cloud.
 
 The closed forms are checked against explicit diagrams from one builder,
 four_plat_diagram: the numerator closure of the rational tangle
@@ -30,11 +31,12 @@ production path calls them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
-from math import gcd
+from math import comb, gcd
 from typing import TYPE_CHECKING
 
-from .cloud import NORM_BLOCK_ROWS, Cloud, prefers_mirror
+from .cloud import Cloud, prefers_mirror
 from .diagrams import from_even_under
 from .errors import InexactDivision, NotAKnot, UnknownFormat
 from .laurent import QUARTER, LaurentPolynomial
@@ -248,51 +250,6 @@ def family_members(kind, limit):
     return f"{kind}-{limit}", members
 
 
-def _torus_block(m, n):
-    """torus_row of each (m[i], n[i]) as the rows of one int64 block, zero
-    past each row's m + n - 1 entries.
-
-    torus_row's division, vectorized: the numerator 1 - q^(m+1) - q^(n+1)
-    + q^(m+n) of each row is summed in place with stride 2, and vanishes
-    from entry m + n - 1 on because the division by 1 - q^2 is exact.
-    """
-    import numpy as np
-
-    rows = np.arange(len(m))
-    block = np.zeros((len(m), (m + n).max(initial=0) + 1), dtype=np.int64)
-    block[:, 0] = 1
-    block[rows, m + 1] -= 1
-    block[rows, n + 1] -= 1
-    block[rows, m + n] += 1
-    for parity in (0, 1):
-        np.cumsum(block[:, parity::2], axis=1, out=block[:, parity::2])
-    return block
-
-
-def _double_twist_block(m, n):
-    """double_twist_row of each (m[i], n[i]) as the rows of one int64 block,
-    zero past each row's c + 1 = m + n + 1 entries.
-
-    This is _double_twist_coeffs reversed, j = c - i, and signed by
-    (-1)^w = (-1)^c, as the writhe has the parity of c: entry j is
-    (-1)^c ((-1)^(n+j) min(m, n, j, c-j), plus (-1)^n at j = 0, plus (-1)^m
-    at j = c, minus 1 at j = n).
-    """
-    import numpy as np
-
-    c = m + n
-    j = np.arange(c.max(initial=0) + 1)
-    ramp = np.minimum(np.minimum(m, n)[:, None],
-                      np.minimum(j, c[:, None] - j)).clip(0)
-    block = np.where((n[:, None] + j) & 1, -ramp, ramp)
-    rows = np.arange(len(m))
-    block[:, 0] += np.where(n % 2, -1, 1)
-    block[rows, c] += np.where(m % 2, -1, 1)
-    block[rows, n] -= 1
-    block[c % 2 == 1] *= -1
-    return block
-
-
 def _torus_differences(m, n):
     """u = (1 - q^2) x of each member's torus_row x, as (entries, values,
     peaks): u is the closed form's numerator, +1 at entry 0, -1 at m + 1
@@ -316,7 +273,7 @@ def _double_twist_differences(m, n):
 
     With k = min(m, n), c = m + n and e(i) = (-1)^i, x is e(c) times the
     alternating ramp e(n + j) min(k, j, c - j) plus the corrections e(n)
-    at j = 0, e(m) at j = c and -1 at j = n (_double_twist_block).  One
+    at j = 0, e(m) at j = c and -1 at j = n (double_twist_row).  One
     factor 1 + q leaves the ramp's steps, +-1 on 1..k and on c-k+1..c, and
     the second leaves their ends: e(n+1) at j = 1, -e(n+k+1) at k + 1,
     -e(n+c-k+1) at c - k + 1 and e(n+c+1) at c + 1.  Each correction
@@ -344,36 +301,67 @@ def _sign(i):
     return 1 - 2 * (i & 1)
 
 
-def _undo_torus(a):
-    """Divide each column of a by 1 - q^2 in place: stride-2 prefix sums
-    down axis 0."""
+def _torus_squares(m, n):
+    """||x||^2 of each member's torus_row x, 2 <= m < n: the number of its
+    nonzero entries, all +-1 (_torus_differences).  With m odd, x is +1 on
+    the even entries below m + 1 and -1 on the (m - 1) / 2 entries of one
+    parity class from n + 1 on, m in all; with m even, n is odd and the
+    same holds with m and n swapped."""
     import numpy as np
 
-    for parity in (0, 1):
-        np.cumsum(a[parity::2], axis=0, out=a[parity::2])
+    return np.where(m % 2, m, n)
 
 
-def _undo_double_twist(a):
-    """Divide each column of a by (1 + q)^2 in place down axis 0.
+def _double_twist_squares(m, n):
+    """||x||^2 of each member's double_twist_row x, 1 <= m, n.
 
-    1 / (1 + q) is the sum of (-q)^i, so the division negates the odd
-    entries, takes two prefix sums and negates the odd entries again.
+    With k = min(m, n) and c = m + n, the ramp min(k, j, c - j) is k on
+    c - 2k + 1 entries and climbs 1..k - 1 at each end, so its squares sum
+    to k^2 (c - 2k + 1) + (k - 1) k (2k - 1) / 3.  The corrections
+    (_double_twist_differences) put +-1 on the ramp's zeros at j = 0 and
+    j = c and turn its k at j = n into k - 1, which adds 2 - 2k + 1.
     """
     import numpy as np
 
-    np.negative(a[1::2], out=a[1::2])
-    np.cumsum(a, axis=0, out=a)
-    np.cumsum(a, axis=0, out=a)
-    np.negative(a[1::2], out=a[1::2])
+    k, c = np.minimum(m, n), m + n
+    return k * k * (c - 2 * k + 1) + (k - 1) * k * (2 * k - 1) // 3 - 2 * k + 3
+
+
+def _prefix_sums(a, passes):
+    """Divide each column of a by (1 - q^2)^passes in place down axis 0:
+    passes rounds of stride-2 prefix sums."""
+    import numpy as np
+
+    for _ in range(passes):
+        for parity in (0, 1):
+            np.cumsum(a[parity::2], axis=0, out=a[parity::2])
+
+
+def _divide(lags, passes, a):
+    """Divide each column of a by a difference operator D in place down
+    axis 0, where D (1 - q)^lags = (1 - q^2)^passes: lags differences,
+    then _prefix_sums.
+
+    The torus D = 1 - q^2 takes one pass.  The double twist D = (1 + q)^2
+    takes two differences and two passes, and on the way a = D x is
+    (1 - q^2)(1 + q) x, (1 - q^2)^2 x and (1 - q^2) x, so no entry is
+    larger than 4 max |x|.
+    """
+    import numpy as np
+
+    for _ in range(lags):
+        np.subtract(a[1:], a[:-1], out=a[1:])
+    _prefix_sums(a, passes)
 
 
 # Each family's difference operator D = d0 + d1 q + d2 q^2, as its
-# coefficients (d0, d1, d2), the closed form of u = D x and the division
-# by D.  Reversed, each D is itself times d2 / d0.
-_DIFFERENCES = {
-    "torus": ((1, 0, -1), _torus_differences, _undo_torus),
+# coefficients (d0, d1, d2), the closed forms of u = D x and of ||x||^2,
+# and the (lags, passes) of the division by D (_divide).  Reversed, each D
+# is itself times d2 / d0.
+_CLOSED_FORMS = {
+    "torus": ((1, 0, -1), _torus_differences, _torus_squares, (0, 1)),
     "double_twist": ((1, 2, 1), _double_twist_differences,
-                     _undo_double_twist),
+                     _double_twist_squares, (2, 2)),
 }
 
 
@@ -384,9 +372,9 @@ class FamilyCloud(Cloud):
     Per member, in id order: the closed-form parameters (m, n) and
     ``flip`` where prefers_mirror picks the mirror image.  The closed-form
     row fills the member's span: its entry j sits at degree low + j, or at
-    high - j where the member is flipped.  rows(indices) evaluates the
-    vectorized closed form of just those members and copies each row into
-    its span.
+    high - j where the member is flipped.  Rows are read from the
+    difference form only: moments() sums differences(), and rows(indices)
+    rebuilds just those rows from it.
     """
 
     kind: str
@@ -395,16 +383,31 @@ class FamilyCloud(Cloud):
     flip: np.ndarray
 
     def rows(self, indices):
+        """The rows at the given indices, rebuilt from differences() as
+        _divide would, with the differences taken on u's few entries: u
+        times (1 - q)^lags is summed into an int64 block of width + 2 +
+        lags columns and divided by (1 - q^2)^passes along each row, in
+        place.  Along a row numpy's int64 prefix sums run about three
+        times faster with stride 2 than with stride 1.  The columns past
+        the width must come out zero, or InexactDivision names the first
+        row that does not."""
         import numpy as np
 
-        block = _BLOCKS[self.kind](self.m[indices], self.n[indices])
-        lows, highs = (s[indices] - self.min_degree for s in self.spans)
-        out = np.zeros((len(block), self.width), dtype=np.int64)
-        for row, entries, a, b, flip in zip(
-                out, block, lows.tolist(), (highs + 1).tolist(),
-                self.flip[indices].tolist()):
-            row[a:b] = entries[b - a - 1::-1] if flip else entries[:b - a]
-        return out
+        lags, passes = _CLOSED_FORMS[self.kind][3]
+        columns, values, _ = self.differences(indices)
+        block = np.zeros((len(indices), self.width + 2 + lags),
+                         dtype=np.int64)
+        columns += np.arange(0, block.size, block.shape[1])[:, None]
+        for lag in range(lags + 1):  # (1 - q)^lags u, on u's entries
+            np.add.at(block.reshape(-1), columns + lag,
+                      (-1) ** lag * comb(lags, lag) * values)
+        _prefix_sums(block.T, passes)
+        bad = np.flatnonzero(block[:, self.width:].any(axis=1))
+        if len(bad):
+            raise InexactDivision(
+                f"{self.row_ids[indices[bad[0]]]}: the row does not end "
+                "within its span")
+        return block[:, :self.width]
 
     def differences(self, indices):
         """u = D x of the rows at the given indices, D the family's
@@ -418,7 +421,7 @@ class FamilyCloud(Cloud):
         """
         import numpy as np
 
-        (d0, _, d2), closed_form, _ = _DIFFERENCES[self.kind]
+        (d0, _, d2), closed_form, _, _ = _CLOSED_FORMS[self.kind]
         entries, values, peaks = closed_form(self.m[indices],
                                              self.n[indices])
         lows, highs = (s[indices][:, None] - self.min_degree
@@ -434,25 +437,22 @@ class FamilyCloud(Cloud):
         feeds."""
         from .pca import DifferenceMoments
 
-        coefficients, _, undo = _DIFFERENCES[self.kind]
-        return DifferenceMoments(self.width, undo,
+        coefficients, _, _, division = _CLOSED_FORMS[self.kind]
+        return DifferenceMoments(self.width, partial(_divide, *division),
                                  sum(map(abs, coefficients)))
-
-
-_BLOCKS = {"torus": _torus_block, "double_twist": _double_twist_block}
 
 
 def family_cloud(kind, limit):
     """(digest, cloud): the FamilyCloud of a family.
 
-    A member's closed-form row (_torus_block, _double_twist_block) spans
-    q^lo..q^hi, with lo as in torus_row and double_twist_row, and
-    q^-hi..q^-lo, reversed, where prefers_mirror picks the mirror image.
-    The norms are summed from the closed-form blocks, NORM_BLOCK_ROWS
-    members at a time in generation order; no N x width matrix is made.
-    So the cloud's rows, norms and metadata equal record_cloud of
-    generate_family's canonicalized records, without a polynomial, record
-    or coefficient list per member.
+    A member's row spans q^lo..q^hi, with lo as in torus_row and
+    double_twist_row, and q^-hi..q^-lo, reversed, where prefers_mirror
+    picks the mirror image.  The norms are np.sqrt of the closed forms of
+    ||x||^2, exact integers below 2^53, so they have the bits that
+    cloud.row_norms gives the rows; no row is evaluated.  So the cloud's
+    rows, norms and metadata equal record_cloud of generate_family's
+    canonicalized records, without a polynomial, record or coefficient
+    list per member.
     """
     import numpy as np
 
@@ -469,19 +469,13 @@ def family_cloud(kind, limit):
     flip = np.array([prefers_mirror(a, b)
                      for a, b in zip(lo.tolist(), hi.tolist())], dtype=bool)
     lows, highs = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
-    norms = np.empty(len(members))
-    for a in range(0, len(members), NORM_BLOCK_ROWS):
-        block = _BLOCKS[kind](m[a:a + NORM_BLOCK_ROWS],
-                              n[a:a + NORM_BLOCK_ROWS])
-        norms[a:a + NORM_BLOCK_ROWS] = np.sqrt(
-            np.square(block, dtype=float).sum(axis=1))
     ids = [mem[0] for mem in members]
     order = sorted(range(len(ids)), key=ids.__getitem__)
     return digest, FamilyCloud(
         row_ids=tuple(ids[i] for i in order),
         min_degree=int(lows.min()),
         width=int(highs.max() - lows.min()) + 1,
-        norms=norms[order],
+        norms=np.sqrt(_CLOSED_FORMS[kind][2](m, n)[order]),
         class_flags=tuple(members[i][2] for i in order),
         sigma_values=(None,) * len(ids),
         crossing_numbers=tuple(members[i][1] for i in order),

@@ -187,8 +187,8 @@ class DifferenceMoments:
     the column shift, which is sparse where x is dense.  The count N, the
     int64 sums U = sum u u^T and sum u are kept dim + 2 columns wide, as u
     runs two columns past x, and S = D^-1 U D^-T and s = D^-1 sum u of a
-    window come from undo, D^-1 as an in-place integer prefix pass down
-    the columns of an array.  ``bound`` is the sum of each row's max |x|
+    window come from undo, D^-1 as in-place integer differences and
+    prefix passes down the columns of an array.  ``bound`` is the sum of each row's max |x|
     squared, so it bounds every |S_ij| as CovarianceAccumulator's does,
     and spread^2 * bound, spread = |d0| + |d1| + |d2|, bounds every
     intermediate of U and of the passes.

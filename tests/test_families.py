@@ -1,16 +1,20 @@
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from knotfold import diagrams, families
 from knotfold.bracket import bracket_to_jones, jones, kauffman_bracket
-from knotfold.cloud import KnotRecord
+from knotfold.cloud import KnotRecord, row_norms
 from knotfold.diagrams import is_alternating, writhe
 from knotfold.errors import InexactDivision, NotAKnot, UnknownFormat
 from knotfold.families import (
+    FamilyCloud,
     double_twist_bracket,
     double_twist_diagram,
     double_twist_is_knot,
@@ -259,20 +263,80 @@ class TestFamilyCloud:
         assert digest == want_digest
         assert_same_cloud(cloud, records_cloud(records))
 
-    @pytest.mark.parametrize("block_of, row_of, members", [
-        (families._torus_block, torus_row, torus_members(300)),
-        (families._double_twist_block, double_twist_row,
-         double_twist_members(60))])
-    def test_blocks_match_the_row_functions(self, block_of, row_of, members):
-        """Each vectorized block row is its member's row function, padded
-        with zeros, in blocks that mix crossing numbers."""
-        for a in range(0, len(members), 37):
-            chunk = members[a:a + 37]
-            block = block_of(np.array([m for m, _ in chunk]),
-                             np.array([n for _, n in chunk]))
-            for (m, n), got in zip(chunk, block.tolist()):
-                want = row_of(m, n)[1]
-                assert got == want + [0] * (len(got) - len(want)), (m, n)
+    @pytest.mark.parametrize("kind, limit", [
+        ("torus", 300), ("double_twist", 60)])
+    def test_rows_match_the_row_functions(self, kind, limit):
+        """Each row that rows() rebuilds from the difference form is its
+        member's row function, reversed where the member is flipped, in
+        its span and zero elsewhere, read in blocks that mix crossing
+        numbers.  No torus member is flipped, so the cloud is also read
+        with every flip turned over."""
+        _, cloud = family_cloud(kind, limit)
+        lows, highs = cloud.spans
+        mirrored = replace(cloud, min_degree=-cloud.max_degree,
+                           spans=(-highs, -lows), flip=~cloud.flip)
+        row_of = {"torus": torus_row, "double_twist": double_twist_row}[kind]
+        indices = np.arange(len(cloud.row_ids))
+        for c in (cloud, mirrored):
+            mixed = 0
+            for a in range(0, len(indices), 37):
+                chunk = indices[a:a + 37]
+                mixed += len({c.crossing_numbers[i] for i in chunk}) > 1
+                for i, got in zip(chunk.tolist(), c.rows(chunk).tolist()):
+                    coeffs = row_of(int(c.m[i]), int(c.n[i]))[1]
+                    start = int(c.spans[0][i]) - c.min_degree
+                    want = [0] * c.width
+                    want[start:start + len(coeffs)] = (
+                        coeffs[::-1] if c.flip[i] else coeffs)
+                    assert got == want, (c.row_ids[i], bool(c.flip[i]))
+            assert mixed
+
+    @pytest.mark.parametrize("kind, limit", [
+        ("torus", 2000), ("double_twist", 301)])
+    def test_norms_match_the_rows(self, kind, limit):
+        """The closed-form norms are, bit for bit, the norms of the rows
+        that rows() returns, as align's row_norms sums them."""
+        _, cloud = family_cloud(kind, limit)
+        indices = np.arange(len(cloud.row_ids))
+        want = np.concatenate([row_norms(block)
+                               for block in cloud.row_blocks(indices)])
+        assert np.array_equal(cloud.norms.view(np.int64),
+                              want.view(np.int64))
+
+    def test_norms_read_no_row(self, monkeypatch):
+        """family_cloud takes its norms from the closed forms: it builds
+        with rows() raising."""
+        def no_rows(self, indices):
+            raise AssertionError("a row was read")
+
+        monkeypatch.setattr(FamilyCloud, "rows", no_rows)
+        for kind, limit in (("torus", 300), ("double_twist", 91)):
+            _, cloud = family_cloud(kind, limit)
+            assert len(cloud.norms) == len(cloud.row_ids)
+
+    @pytest.mark.parametrize("kind, rid", [
+        ("torus", "T(3,7)"), ("double_twist", "C(3,8)")])
+    def test_wrong_difference_is_inexact(self, kind, rid, monkeypatch):
+        """One wrong value of one member's u leaves that row nonzero past
+        the cloud's columns, and rows() raises InexactDivision with its
+        id; the other rows still read."""
+        _, cloud = family_cloud(kind, 40)
+        wrong = cloud.row_ids.index(rid)
+        d, closed_form, squares, division = families._CLOSED_FORMS[kind]
+
+        def corrupted(m, n):
+            entries, values, peaks = closed_form(m, n)
+            values = values.copy()
+            values[(m == cloud.m[wrong]) & (n == cloud.n[wrong]), 1] += 1
+            return entries, values, peaks
+
+        monkeypatch.setitem(families._CLOSED_FORMS, kind,
+                            (d, corrupted, squares, division))
+        indices = np.arange(len(cloud.row_ids))
+        with pytest.raises(InexactDivision, match=re.escape(rid)):
+            cloud.rows(indices)
+        assert cloud.rows(indices[indices != wrong]).shape == (
+            len(indices) - 1, cloud.width)
 
     @pytest.mark.parametrize("kind, limit", [
         ("torus", 300), ("double_twist", 91),
@@ -364,6 +428,37 @@ class TestFamilyCloud:
                 np.add.at(got, columns[i], values[i])
                 assert np.array_equal(got, want), (c.row_ids[i], flip)
                 assert np.abs(x).max() <= peaks[i], c.row_ids[i]
+
+    @given(st.integers(2, 400), st.integers(1, 400))
+    @example(2, 1)
+    @example(3, 2)
+    @example(4, 1)
+    @example(3, 5)
+    @settings(derandomize=True, deadline=None)
+    def test_torus_squares(self, m, n):
+        """||x||^2 of a torus row, m if m is odd and n otherwise, is the
+        sum of its squared coefficients for every coprime 2 <= m < n and
+        every parity mix: T(m, m + n) covers them all."""
+        n += m
+        assume(gcd(m, n) == 1)
+        got = families._torus_squares(np.array([m]), np.array([n]))
+        assert got.tolist() == [sum(c * c for c in torus_row(m, n)[1])]
+
+    @given(st.integers(1, 400), st.integers(1, 400))
+    @example(1, 2)
+    @example(2, 1)
+    @example(2, 2)
+    @example(4, 3)
+    @example(3, 4)
+    @example(6, 8)
+    @settings(derandomize=True, deadline=None)
+    def test_double_twist_squares(self, m, n):
+        """The closed form of ||x||^2 of a double twist row is the sum of
+        its squared coefficients, in either order of (m, n): m = 1, ties
+        and every parity mix of the knots (m n even) included."""
+        assume(m * n % 2 == 0)
+        got = families._double_twist_squares(np.array([m]), np.array([n]))
+        assert got.tolist() == [sum(c * c for c in double_twist_row(m, n)[1])]
 
     def test_members_and_bad_inputs(self):
         assert family_members("torus", 7) == ("torus-7", [
