@@ -9,10 +9,9 @@ contract for its rows, rows(indices): int64 rows at full width.  align
 builds the dataset cloud, which keeps its rows in one matrix, from (id,
 min_degree, coefficients, alternating, sigma, crossing_number) rows;
 computed records (filtration.record_cloud) come this way.  The
-closed-form families (families.family_cloud) keep no matrix: their norms
-come from closed forms in the member's parameters, and their rows, which
-in an analysis only the projection reads, are rebuilt from the sparse
-difference form of the closed forms when read.  Both pick the mirror
+closed-form families (families.family_cloud) keep no matrix: norms come
+from closed forms, and rows, which only the projection reads, are
+rebuilt from the sparse difference form when read.  Both pick the mirror
 image by the one extreme-degree rule, prefers_mirror.  An analysis run
 builds one cloud; a filtration step is a set of its rows and a degree
 window, with no cloud of its own.

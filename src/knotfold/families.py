@@ -12,11 +12,10 @@ over members, and the tests hold it to the row functions: after one fixed
 difference operator D, 1 - q^2 for torus rows and (1 + q)^2 for double
 twist rows, every row x is sparse, and FamilyCloud.differences writes
 u = D x straight from (m, n) (4 entries per torus row, 13 per double
-twist row, some of them repeated).  The moments of the rows
-(pca.DifferenceMoments) are summed from u, and the rows a reader asks for
-(FamilyCloud.rows) are rebuilt from u by integer prefix sums.  The norms
-need no row either: ||x||^2 has an exact closed form in (m, n).  So a
-FamilyCloud keeps each member's parameters and degree span, not a
+twist row, some of them repeated).  The moments (pca.DifferenceMoments)
+are summed from u, FamilyCloud.rows rebuilds rows from u by integer
+prefix sums, and the norms come from exact closed forms of ||x||^2.  So
+a FamilyCloud keeps each member's parameters and degree span, not a
 matrix, and a family's analysis never holds its N x width coefficients at
 once; a filtration step reads its rows from this one cloud.
 
@@ -340,21 +339,15 @@ def _prefix_sums(a, passes):
 def _divide(lags, passes, a):
     """Divide each column of a by a difference operator D in place down
     axis 0, where D (1 - q)^lags = (1 - q^2)^passes: lags differences,
-    then _prefix_sums.
-
-    The torus D = 1 - q^2 takes one pass.  The double twist D = (1 + q)^2
-    takes two differences and two passes, and on the way a = D x is
-    (1 - q^2)(1 + q) x, (1 - q^2)^2 x and (1 - q^2) x, so no entry is
-    larger than 4 max |x|.
-    """
+    then _prefix_sums.  For the double twist D = (1 + q)^2 (two of each)
+    a = D x passes through (1 - q^2)(1 + q) x, (1 - q^2)^2 x and
+    (1 - q^2) x, so no entry is larger than 4 max |x|."""
     import numpy as np
 
     for _ in range(lags):
-        # From the end, 16 rows at a time: numpy copies the rows that an
-        # overlapping subtraction reads, and a larger copy, once freed,
-        # sends later arrays to the fragmenting heap (as for
-        # cloud.NORM_BLOCK_ROWS): with 256-row blocks double twist <= 301
-        # at k = 282..301 peaked 3.8 MB above differencing in place.
+        # From the end, 16 rows at a time: numpy copies the rows an
+        # overlapping subtraction reads, and 256-row copies fragment the
+        # heap (cloud.NORM_BLOCK_ROWS): double twist <= 301 peaked 3.8 MB up.
         for stop in range(len(a), 1, -16):
             start = max(stop - 16, 1)
             np.subtract(a[start:stop], a[start - 1:stop - 1],
@@ -392,13 +385,10 @@ class FamilyCloud(Cloud):
 
     def rows(self, indices):
         """The rows at the given indices, rebuilt from differences() as
-        _divide would, with the differences taken on u's few entries: u
-        times (1 - q)^lags is summed into an int64 block of width + 2 +
-        lags columns and divided by (1 - q^2)^passes along each row, in
-        place.  Along a row numpy's int64 prefix sums run about three
-        times faster with stride 2 than with stride 1.  The columns past
-        the width must come out zero, or InexactDivision names the first
-        row that does not."""
+        _divide would, but with the differences taken on u's few entries,
+        then stride-2 prefix sums along each row (numpy's are three times
+        faster than with stride 1).  The columns past the width must come
+        out zero, or InexactDivision names the first row that does not."""
         import numpy as np
 
         lags, passes = _CLOSED_FORMS[self.kind][3]
