@@ -8,7 +8,9 @@ eigensolve by LAPACK pinned to one BLAS thread.
 
 The filtration and PCA exports load (with numpy) on first access, so
 importing the package, and every command that does no analysis, starts
-without numpy.
+without numpy.  hashlib, which maps OpenSSL's libcrypto, loads only in
+the functions that take a sha256 (pipeline.ingest and cache_key), so
+importing the package, a family analysis and export run without it.
 """
 
 import importlib

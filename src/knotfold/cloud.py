@@ -81,14 +81,15 @@ def canonical_orientation(r):
 
 def prefers_mirror(lo, hi):
     """The extreme-degree rule: True when, of a polynomial spanning degrees
-    lo..hi, the extreme degree of largest absolute value is negative.
+    lo..hi, lo <= hi, the extreme degree of largest absolute value is
+    negative.
 
     A tie |lo| = |hi|, a monomial included, keeps the input.  The rule is
-    the same in any unit of degree.
+    the same in any unit of degree.  With lo <= hi it is lo + hi < 0 and
+    lo != hi, so it takes ints, giving a bool, and integer arrays alike,
+    giving a bool array.
     """
-    if abs(lo) == abs(hi):
-        return False
-    return (lo if abs(lo) > abs(hi) else hi) < 0
+    return (lo + hi < 0) & (lo != hi)
 
 
 @dataclass(frozen=True, eq=False)

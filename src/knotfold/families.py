@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
-from math import comb, gcd
+from math import comb, gcd, isqrt
 from typing import TYPE_CHECKING
 
 from .cloud import Cloud, prefers_mirror
@@ -89,17 +89,11 @@ def _polynomial(lo4, coeffs):
 
 
 def torus_members(max_crossings):
-    """Coprime (m, n), 2 <= m < n, with crossing number <= max_crossings."""
-    out = []
-    m = 2
-    while (m + 1) * (m - 1) <= max_crossings:
-        n = m + 1
-        while n * (m - 1) <= max_crossings:
-            if gcd(m, n) == 1:
-                out.append((m, n))
-            n += 1
-        m += 1
-    return sorted(out, key=lambda mn: (torus_crossing_number(*mn), mn))
+    """Coprime (m, n), 2 <= m < n, with crossing number <= max_crossings,
+    by crossing number, then (m, n)."""
+    return sorted(((m, n) for m, ns in _member_ranges("torus", max_crossings)
+                   for n in ns if gcd(m, n) == 1),
+                  key=lambda mn: (torus_crossing_number(*mn), mn))
 
 
 def four_plat_diagram(twists):
@@ -153,13 +147,41 @@ def double_twist_is_knot(m, n):
 
 
 def double_twist_members(max_crossings):
-    """Unordered twist parameter pairs giving knots with m + n crossings."""
-    out = []
-    for m in range(1, max_crossings):
-        for n in range(m, max_crossings - m + 1):
-            if double_twist_is_knot(m, n):
-                out.append((m, n))
-    return sorted(out, key=lambda mn: (mn[0] + mn[1], mn))
+    """Unordered twist parameter pairs giving knots with m + n crossings,
+    by crossing number, then (m, n)."""
+    return sorted(((m, n) for m, ns in
+                   _member_ranges("double_twist", max_crossings) for n in ns),
+                  key=lambda mn: (mn[0] + mn[1], mn))
+
+
+def _member_ranges(kind, limit):
+    """Each m of a family's (m, n) up to limit crossings, with its range of
+    n: torus 2 <= m < n with n (m - 1) <= limit, where the members are the
+    n coprime to m; double twist 1 <= m <= n with m + n <= limit, every n
+    for even m and the even n for odd m (double_twist_is_knot).  The
+    member lists read the ranges a pair at a time, family_cloud as whole
+    arrays (_member_arrays)."""
+    if kind == "torus":
+        return [(m, range(m + 1, limit // (m - 1) + 1))
+                for m in range(2, isqrt(limit + 1) + 1)]
+    return [(m, range(m + m % 2, limit - m + 1, 1 + m % 2))
+            for m in range(1, limit // 2 + 1)]
+
+
+def _member_arrays(kind, limit):
+    """(m, n) of every member of a family up to limit crossings, as int64
+    arrays, m-major: _member_ranges expanded by numpy, the torus pairs
+    kept where gcd(m, n) = 1."""
+    import numpy as np
+
+    ranges = _member_ranges(kind, limit)
+    m = np.repeat([m for m, _ in ranges], [len(ns) for _, ns in ranges])
+    n = np.concatenate([np.arange(ns.start, ns.stop, ns.step)
+                        for _, ns in ranges])
+    if kind == "torus":
+        coprime = np.gcd(m, n) == 1
+        m, n = m[coprime], n[coprime]
+    return m, n
 
 
 def _double_twist_coeffs(m, n, sign=1):
@@ -236,17 +258,24 @@ def family_members(kind, limit):
     Members are (id, crossing_number, alternating, m, n) in generation
     order: by crossing number, then (m, n).
     """
-    if limit < 3:
-        raise ValueError("limit must be >= 3")
+    digest = _family_digest(kind, limit)
     if kind == "torus":
         members = [(f"T({m},{n})", torus_crossing_number(m, n), m == 2, m, n)
                    for m, n in torus_members(limit)]
-    elif kind == "double_twist":
+    else:
         members = [(f"C({m},{n})", m + n, True, m, n)
                    for m, n in double_twist_members(limit)]
-    else:
+    return digest, members
+
+
+def _family_digest(kind, limit):
+    """The digest of a family's knots up to limit crossings, f"{kind}-{limit}",
+    raising ValueError or UnknownFormat for a family that has none."""
+    if limit < 3:
+        raise ValueError("limit must be >= 3")
+    if kind not in ("torus", "double_twist"):
         raise UnknownFormat(f"unknown family {kind!r}")
-    return f"{kind}-{limit}", members
+    return f"{kind}-{limit}"
 
 
 def _torus_differences(m, n):
@@ -450,33 +479,34 @@ def family_cloud(kind, limit):
     cloud.row_norms gives the rows; no row is evaluated.  So the cloud's
     rows, norms and metadata equal record_cloud of generate_family's
     canonicalized records, without a polynomial, record or coefficient
-    list per member.
+    list per member.  Members, spans and the mirror rule are evaluated on
+    whole arrays; only the ids are built, and sorted, one at a time.
     """
     import numpy as np
 
-    digest, members = family_members(kind, limit)
-    m = np.array([mem[3] for mem in members])
-    n = np.array([mem[4] for mem in members])
+    digest = _family_digest(kind, limit)
+    m, n = _member_arrays(kind, limit)
     if kind == "torus":
+        name, crossings, alternating = "T", (m - 1) * n, m == 2  # as m < n
         lo, hi = (m - 1) * (n - 1) // 2, m + n - 2
     else:
+        name, crossings, alternating = "C", m + n, np.ones_like(m, bool)
         w = np.where(m % 2, -(m + n), np.where(n % 2, m + n, n - m))  # writhe
         lo, hi = 3 * w - m - 3 * n, m + n
         lo //= QUARTER  # double_twist_row's lo4, in whole degrees
     hi += lo
-    flip = np.array([prefers_mirror(a, b)
-                     for a, b in zip(lo.tolist(), hi.tolist())], dtype=bool)
+    flip = prefers_mirror(lo, hi)
     lows, highs = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
-    ids = [mem[0] for mem in members]
-    order = sorted(range(len(ids)), key=ids.__getitem__)
+    ids = [f"{name}({a},{b})" for a, b in zip(m.tolist(), n.tolist())]
+    order = np.array(sorted(range(len(ids)), key=ids.__getitem__))
     return digest, FamilyCloud(
-        row_ids=tuple(ids[i] for i in order),
+        row_ids=tuple(map(ids.__getitem__, order.tolist())),
         min_degree=int(lows.min()),
         width=int(highs.max() - lows.min()) + 1,
         norms=np.sqrt(_CLOSED_FORMS[kind][2](m, n)[order]),
-        class_flags=tuple(members[i][2] for i in order),
+        class_flags=tuple(alternating[order].tolist()),
         sigma_values=(None,) * len(ids),
-        crossing_numbers=tuple(members[i][1] for i in order),
+        crossing_numbers=tuple(crossings[order].tolist()),
         spans=(lows[order], highs[order]),
         kind=kind,
         m=m[order],

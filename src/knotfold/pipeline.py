@@ -11,7 +11,6 @@ recomputation and interrupted runs resume cleanly.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -115,6 +114,8 @@ def ingest(paths, format="dt", convention="a"):
     quarantined too.  ``convention`` is not read: parsing a DT code does
     not depend on its sign convention.
     """
+    import hashlib  # OpenSSL's libcrypto maps only where a sha256 is taken
+
     if format not in FORMATS:
         raise UnknownFormat(f"unknown dataset format {format!r}")
     digest = hashlib.sha256()
@@ -157,6 +158,8 @@ def ingest(paths, format="dt", convention="a"):
 def cache_key(*fields):
     """The cache key of an outcome that is a function of exactly these
     fields: a sha256 over the schema version and the fields, as JSON."""
+    import hashlib
+
     text = json.dumps([SCHEMA_VERSION, *fields])
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -394,17 +397,12 @@ class AnalysisConfig:
         return dict(sorted(self.__dict__.items()))
 
 
-def _fmt(x):
-    return f"{float(x):.12g}"
-
-
-def _write_csv(path, header, rows):
+def _write_csv(path, header, line, rows):
+    """A header, then line % row for each row: a float as %.12g, an int as
+    %d and the rest as %s, one %-format per line."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                _fmt(v) if isinstance(v, float) else str(v)
-                for v in row) + "\n")
+        fh.writelines(line % row for row in rows)
 
 
 def make_report_dir(out_dir):
@@ -453,26 +451,27 @@ def run_analysis(cloud, config, out_dir, digests=(), log=None):
                  float(s.eigensystem.cumulative[i]))
                 for i in range(s.ambient_dim)]
         _write_csv(os.path.join(out_dir, f"spectrum_step_{s.label}.csv"),
-                   ("i", "lambda_i", "lambda_bar_i", "S_i"), rows)
+                   ("i", "lambda_i", "lambda_bar_i", "S_i"),
+                   "%d,%.12g,%.12g,%.12g\n", rows)
 
     _write_csv(os.path.join(out_dir, "trajectory.csv"),
-               ("step", "component", "lambda_bar"),
+               ("step", "component", "lambda_bar"), "%s,%d,%.12g\n",
                [(s.label, i + 1, float(s.eigensystem.normalized[i]))
                 for s in spectra
                 for i in range(min(F.TRACKED_COMPONENTS, s.ambient_dim))])
 
     if len(spectra) >= 2:
         _write_csv(os.path.join(out_dir, "angles.csv"),
-                   ("step", "component", "theta"),
+                   ("step", "component", "theta"), "%s,%d,%.12g\n",
                    F.angle_trajectory(spectra))
         _write_csv(os.path.join(out_dir, "spread.csv"),
-                   ("component", "spread_percent"),
+                   ("component", "spread_percent"), "%d,%.12g\n",
                    F.spread_table(spectra))
 
     edges, counts = F.norm_histogram(cloud, config.bins, top.rows)
     for cls, series in counts.items():
         _write_csv(os.path.join(out_dir, f"histogram_{cls}.csv"),
-                   ("bin_low", "bin_high", "count"),
+                   ("bin_low", "bin_high", "count"), "%.12g,%.12g,%d\n",
                    [(float(edges[b]), float(edges[b + 1]), int(series[b]))
                     for b in range(len(series))])
 
@@ -483,13 +482,12 @@ def run_analysis(cloud, config, out_dir, digests=(), log=None):
     start = final.min_degree - cloud.min_degree
     coords = project(cloud, final.mean, final.eigensystem, k, top.rows,
                      slice(start, start + final.ambient_dim))
+    sigma = cloud.sigma_values
     _write_csv(os.path.join(out_dir, "projection.csv"),
-               ("id",) + tuple(f"pc{i+1}" for i in range(k)) + ("sigma",),
-               ((cloud.row_ids[r],)
-                + tuple(float(c) for c in xy)
-                + ("" if cloud.sigma_values[r] is None
-                   else str(cloud.sigma_values[r]),)
-                for r, xy in zip(top.rows.tolist(), coords)))
+               ("id", *(f"pc{i+1}" for i in range(k)), "sigma"),
+               "%s," + ",".join(["%.12g"] * k) + ",%s\n",
+               ((cloud.row_ids[r], *xy, "" if sigma[r] is None else sigma[r])
+                for r, xy in zip(top.rows.tolist(), coords.tolist())))
 
     manifest = {
         "config": config.to_dict(),

@@ -7,13 +7,18 @@ when a cloud is built instead of scanning its rows, never cuts a
 filtration step into a cloud of its own, and feeds the accumulator whole
 blocks, not single rows.  Family moments on the production path come
 from the rows' difference form; the dense product of the rows
-(family_spectrum) is their oracle.
+(family_spectrum) is their oracle.  Family clouds are built from whole
+arrays; family_fields builds the same fields one member at a time, and
+write_csv_per_value writes the report files one value at a time.
 """
+
+from math import gcd
 
 import numpy as np
 
 from knotfold.cloud import AlignedCloud, align
 from knotfold.errors import InexactDivision, KnotfoldError, VariableMismatch
+from knotfold.families import QUARTER, _CLOSED_FORMS, double_twist_writhe
 from knotfold.filtration import FiltrationStep, StepSpectrum
 from knotfold.laurent import LaurentPolynomial
 from knotfold.pca import CovarianceAccumulator, dimension_estimate, sym_eig
@@ -261,3 +266,76 @@ def assert_same_cloud(got, want, label=None):
     assert len(got.spans) == len(want.spans) == 2, label
     for g, w in zip(got.spans, want.spans):
         assert g.dtype == w.dtype and np.array_equal(g, w), label
+
+
+def prefers_mirror_branching(lo, hi):
+    """The extreme-degree rule written out: a tie |lo| = |hi| keeps the
+    input, else the extreme degree of largest absolute value decides."""
+    if abs(lo) == abs(hi):
+        return False
+    return (lo if abs(lo) > abs(hi) else hi) < 0
+
+
+def torus_pairs(limit):
+    """Coprime (m, n), 2 <= m < n, with n (m - 1) <= limit crossings, by
+    nested loops."""
+    out = []
+    m = 2
+    while (m + 1) * (m - 1) <= limit:
+        n = m + 1
+        while n * (m - 1) <= limit:
+            if gcd(m, n) == 1:
+                out.append((m, n))
+            n += 1
+        m += 1
+    return out
+
+
+def double_twist_pairs(limit):
+    """(m, n), 1 <= m <= n, m + n <= limit, with m n even (a knot), by
+    nested loops."""
+    return [(m, n) for m in range(1, limit) for n in range(m, limit - m + 1)
+            if m * n % 2 == 0]
+
+
+def family_fields(kind, limit):
+    """The fields of family_cloud(kind, limit), built a member at a time:
+    the pairs from nested loops, each member's span from its row's lowest
+    degree, the mirror rule's branches per member, then the members in id
+    order by a key sort.  The norms are np.sqrt of the closed form of
+    ||x||^2, as family_cloud takes them."""
+    members = []
+    for m, n in (torus_pairs if kind == "torus" else double_twist_pairs)(limit):
+        if kind == "torus":  # torus_row's lo4 is 2 (m - 1) (n - 1)
+            rid, alternating = f"T({m},{n})", m == 2
+            crossings = min(m * (n - 1), n * (m - 1))
+            lo = (m - 1) * (n - 1) // 2
+            hi = lo + m + n - 2
+        else:  # double_twist_row's lo4 is 3 w - m - 3 n
+            rid, crossings, alternating = f"C({m},{n})", m + n, True
+            lo = (3 * double_twist_writhe(m, n) - m - 3 * n) // QUARTER
+            hi = lo + m + n
+        flip = prefers_mirror_branching(lo, hi)
+        members.append((rid, crossings, alternating, m, n, flip,
+                        (-hi, -lo) if flip else (lo, hi)))
+    members.sort(key=lambda member: member[0])
+    rid, crossings, alternating, m, n, flip, span = zip(*members)
+    m, n, lows, highs = (np.array(a) for a in (m, n, *zip(*span)))
+    return {
+        "row_ids": rid, "crossing_numbers": crossings,
+        "class_flags": alternating, "sigma_values": (None,) * len(rid),
+        "m": m, "n": n, "flip": np.array(flip), "spans": (lows, highs),
+        "min_degree": int(lows.min()),
+        "width": int(highs.max() - lows.min()) + 1,
+        "norms": np.sqrt(_CLOSED_FORMS[kind][2](m, n)),
+    }
+
+
+def write_csv_per_value(path, header, rows):
+    """A report file written one value at a time: each float as %.12g
+    through an f-string, everything else through str."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.12g}" if isinstance(v, float) else str(v)
+                              for v in row) + "\n")

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from knotfold.cloud import (
     NORM_BLOCK_ROWS,
@@ -16,7 +17,7 @@ from knotfold.errors import EmptyFamily, HalfIntegerExponent
 from knotfold.laurent import LaurentPolynomial
 
 from conftest import TABLE_MATRIX, TABLE_POLYS, traced_peak
-from oracles import dense, row
+from oracles import dense, prefers_mirror_branching, row
 
 
 def rec(jones_text, **kw):
@@ -78,13 +79,28 @@ class TestPrefersMirror:
         assert not prefers_mirror(-2, 3) and not prefers_mirror(1, 5)
 
     def test_matches_written_out_rule(self):
-        for lo in range(-6, 7):
-            for hi in range(lo, 7):
-                if abs(lo) == abs(hi):
-                    want = False
-                else:
-                    want = (lo if abs(lo) > abs(hi) else hi) < 0
-                assert prefers_mirror(lo, hi) == want, (lo, hi)
+        """Every lo <= hi in [-60, 60], one pair at a time as ints and all
+        at once as arrays, as family_cloud applies it."""
+        pairs = [(lo, hi) for lo in range(-60, 61) for hi in range(lo, 61)]
+        want = [prefers_mirror_branching(lo, hi) for lo, hi in pairs]
+        got = [prefers_mirror(lo, hi) for lo, hi in pairs]
+        assert got == want and {type(g) for g in got} == {bool}
+        lo, hi = np.array(pairs).T
+        assert prefers_mirror(lo, hi).tolist() == want
+
+    @given(st.integers(-10**12, 10**12), st.integers(0, 10**12))
+    @example(0, 0)
+    @example(-3, 6)
+    @example(-3, 0)
+    @example(3, 0)
+    @example(-4, 7)
+    @example(-4, 9)
+    @settings(derandomize=True)
+    def test_matches_the_branching_rule(self, lo, gap):
+        """The one-line rule is the branching one for every lo <= hi:
+        ties |lo| = |hi|, monomials and 0 included."""
+        assert prefers_mirror(lo, lo + gap) is prefers_mirror_branching(
+            lo, lo + gap)
 
 
 class TestCoeffVector:

@@ -37,7 +37,8 @@ from knotfold.pipeline import generate_family
 
 from conftest import TABLE_CROSSINGS, TABLE_POLYS, traced_peak
 from oracles import (assert_same_cloud, bracket_statesum, dense,
-                     exact_div, records_cloud, row_spans, shift)
+                     double_twist_pairs, exact_div, family_fields,
+                     records_cloud, row_spans, shift, torus_pairs)
 
 
 def torus_oracle(m, n):
@@ -262,6 +263,43 @@ class TestFamilyCloud:
         want_digest, records = generate_family(kind, limit)
         assert digest == want_digest
         assert_same_cloud(cloud, records_cloud(records))
+
+    @pytest.mark.parametrize("limit", [3, 4, 9, 91, 300, 2000])
+    def test_member_arrays_match_the_member_lists(self, limit):
+        """The array enumerator gives each member of a family once, and the
+        member lists give the nested loops' members in generation order."""
+        for kind, listed, looped, crossings in (
+                ("torus", torus_members, torus_pairs, torus_crossing_number),
+                ("double_twist", double_twist_members, double_twist_pairs,
+                 lambda m, n: m + n)):
+            m, n = families._member_arrays(kind, limit)
+            assert m.dtype == n.dtype == np.int64
+            pairs, want = list(zip(m.tolist(), n.tolist())), looped(limit)
+            assert len(set(pairs)) == len(pairs)
+            assert set(pairs) == set(want)
+            assert listed(limit) == sorted(
+                want, key=lambda mn: (crossings(*mn), mn))
+
+    @pytest.mark.parametrize("kind, limit", [
+        ("torus", 2000), ("double_twist", 601)])
+    def test_fields_match_a_per_member_build(self, kind, limit):
+        """Every field of the cloud built from whole arrays is the one
+        built a member at a time: values, dtypes, the Python types in the
+        tuples, and the norms bit for bit."""
+        _, cloud = family_cloud(kind, limit)
+        want = family_fields(kind, limit)
+        got = {name: getattr(cloud, name) for name in want}
+        for fields in (got, want):
+            fields["norms"] = fields["norms"].view(np.int64)
+            fields["lows"], fields["highs"] = fields.pop("spans")
+        for name, w in want.items():
+            g = got[name]
+            if isinstance(w, np.ndarray):
+                assert g.dtype == w.dtype and np.array_equal(g, w), name
+            else:
+                assert type(g) is type(w) and g == w, name
+                if isinstance(w, tuple):
+                    assert list(map(type, g)) == list(map(type, w)), name
 
     @pytest.mark.parametrize("kind, limit", [
         ("torus", 300), ("double_twist", 60)])

@@ -52,6 +52,29 @@ print(json.dumps(loaded))
 """
 
 
+# Runs in a fresh interpreter: argv is the fixture file and a scratch
+# directory.  Prints one JSON line mapping each step to the hashing
+# modules loaded after it; _hashlib maps OpenSSL's libcrypto.
+NO_OPENSSL = """
+import json, os, sys
+
+from knotfold.cli import main
+
+fixture, tmp = sys.argv[1:]
+HASHING = ("hashlib", "_hashlib")
+out = os.path.join(tmp, "bundle")
+loaded = {"import": [m for m in HASHING if m in sys.modules]}
+for args in (
+        ["analyze", "--family", "torus", "--max-crossings", "9",
+         "--cache", os.path.join(tmp, "cache.txt"), "--out", out],
+        ["export", "--what", "projection", "--out", out],
+        ["ingest", fixture]):
+    main(args, standalone_mode=False)
+    loaded[args[0]] = [m for m in HASHING if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
 def _run_python(code, *args):
     src = os.path.dirname(os.path.dirname(knotfold.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -72,6 +95,18 @@ def test_import_budget(tmp_path):
     assert "numpy" in loaded.pop("analyze")
     assert loaded == {"import": [], "ingest": [], "compute": [],
                       "generate": [], "export": []}
+
+
+def test_family_runs_load_no_openssl(tmp_path):
+    """Importing the CLI, a family analyze (with a --cache it leaves
+    untouched) and export take no sha256, so they load neither hashlib
+    nor OpenSSL; ingest, which digests its dataset, loads both.  Unlike
+    test_import_budget, the steps before ingest run first here, so its
+    load cannot hide theirs."""
+    out = _run_python(NO_OPENSSL, FIXTURE_FILE, str(tmp_path))
+    assert json.loads(out.splitlines()[-1]) == {
+        "import": [], "analyze": [], "export": [],
+        "ingest": ["hashlib", "_hashlib"]}
 
 
 def test_root_exports():

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import knotfold
+from knotfold import pipeline
 from knotfold.cli import main
 from knotfold.diagrams import parse_dt, realize_dt
 from knotfold.errors import (BadEnvironment, KnotfoldError, Unreadable,
@@ -29,7 +30,7 @@ from knotfold.pipeline import (
 )
 
 from conftest import FIXTURE_FILE, TABLE_POLYS
-from oracles import records_cloud
+from oracles import records_cloud, write_csv_per_value
 
 
 # Two DT codes with valid syntax that admit no planar embedding.
@@ -598,6 +599,17 @@ class TestGenerateFamily:
         assert result.exit_code == 0 and "generated 24 knots" in result.output
         assert path.read_bytes() == first and calls == []
 
+    def test_double_twist_cache_bytes(self, tmp_path):
+        """generate writes the double twist cache it has always written:
+        the header, then every member's line in generation order."""
+        path = tmp_path / "fam.txt"
+        result = CliRunner().invoke(main, [
+            "generate", "--family", "double-twist", "--max-crossings", "91",
+            "--cache", str(path)])
+        assert result.exit_code == 0, result.output
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "a0d28e0a55832345d8611058c17cdf08ae368b9e521e7029ec036e6c9930578e")
+
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             generate_family("torus", 2)
@@ -638,6 +650,46 @@ class TestRunAnalysis:
         run_analysis(cloud, AnalysisConfig(), a)
         run_analysis(cloud, AnalysisConfig(), b)
         assert bundle_bytes(a) == bundle_bytes(b)
+
+    @pytest.mark.parametrize("source, config", [
+        ("fixtures", AnalysisConfig()),
+        ("fixtures", AnalysisConfig(filtration="norm", levels=3)),
+        ("double_twist", AnalysisConfig(k_min=15, k_max=21))])
+    def test_files_match_a_per_value_writer(self, tmp_path, monkeypatch,
+                                            source, config):
+        """Each report file's one %-format per line writes the bytes of
+        formatting it one value at a time; the fixtures' projection has
+        int sigma values, the family's none."""
+        cloud = (self._cloud() if source == "fixtures"
+                 else family_cloud(source, 21)[1])
+        run_analysis(cloud, config, str(tmp_path / "a"))
+        monkeypatch.setattr(
+            pipeline, "_write_csv", lambda path, header, line, rows:
+            write_csv_per_value(path, header, rows))
+        run_analysis(cloud, config, str(tmp_path / "b"))
+        assert bundle_bytes(str(tmp_path / "a")) == \
+            bundle_bytes(str(tmp_path / "b"))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_projection_lines_match_per_value(self, tmp_path, k):
+        """A projection line's one %-format gives the bytes of one format
+        per value: -0.0, 1e-300, 1e16 and integral floats among the
+        coordinates, and sigma None or an int."""
+        values = [-0.0, 0.0, 1e-300, 1e16, 3.0, -2.0, 2.0 ** 60, 0.1,
+                  1 / 3, -1e-5, 123456789012.5]
+        rows = [(f"K{i}", *(values[(i + j) % len(values)] for j in range(k)),
+                 sigma) for i, sigma in enumerate([None, 4, -2, 0] * 6)]
+        header = ("id", *(f"pc{i + 1}" for i in range(k)), "sigma")
+        pipeline._write_csv(
+            tmp_path / "lines.csv", header,
+            "%s," + ",".join(["%.12g"] * k) + ",%s\n",
+            [(*row[:-1], "" if row[-1] is None else row[-1]) for row in rows])
+        write_csv_per_value(
+            tmp_path / "values.csv", header,
+            [(*row[:-1], "" if row[-1] is None else str(row[-1]))
+             for row in rows])
+        assert (tmp_path / "lines.csv").read_bytes() == \
+            (tmp_path / "values.csv").read_bytes()
 
     def test_norm_filtration_bundle(self, tmp_path):
         out = str(tmp_path / "norm")
