@@ -487,7 +487,8 @@ def family_cloud(kind, limit):
     digest = _family_digest(kind, limit)
     m, n = _member_arrays(kind, limit)
     if kind == "torus":
-        name, crossings, alternating = "T", (m - 1) * n, m == 2  # as m < n
+        # (m - 1) n is torus_crossing_number, as m < n
+        name, crossings, alternating = "T", (m - 1) * n, m == 2
         lo, hi = (m - 1) * (n - 1) // 2, m + n - 2
     else:
         name, crossings, alternating = "C", m + n, np.ones_like(m, bool)

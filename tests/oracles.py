@@ -18,9 +18,9 @@ import numpy as np
 
 from knotfold.cloud import AlignedCloud, align
 from knotfold.errors import InexactDivision, KnotfoldError, VariableMismatch
-from knotfold.families import QUARTER, _CLOSED_FORMS, double_twist_writhe
+from knotfold.families import _CLOSED_FORMS, double_twist_writhe
 from knotfold.filtration import FiltrationStep, StepSpectrum
-from knotfold.laurent import LaurentPolynomial
+from knotfold.laurent import QUARTER, LaurentPolynomial
 from knotfold.pca import CovarianceAccumulator, dimension_estimate, sym_eig
 
 STATESUM_CAP = 24
